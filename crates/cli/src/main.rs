@@ -214,7 +214,6 @@ fn run_command(args: &args::Args) -> i32 {
                 log: args.log,
                 store_dir: args.store.clone(),
                 trace_path: args.trace.clone(),
-                engine: args.engine,
                 max_connections: args.max_conns,
                 ..ServeOptions::default()
             };

@@ -11,7 +11,7 @@
 //!   idle/read/write deadlines. Cancellation is lazy: entries carry a
 //!   connection generation and are dropped on expiry if stale.
 //! * [`stats`] — atomic counters surfaced by the embedding server
-//!   (accepted/rejected/open/poll wakeups/timer expirations/...).
+//!   (accepted/rejected/open/keep-alive/poll wakeups/timer expirations/...).
 //! * [`reactor`] — the event loop itself: single acceptor with an explicit
 //!   connection budget (over-budget connections get the protocol's busy
 //!   response instead of languishing in the accept queue), per-connection
@@ -23,8 +23,8 @@
 //! The embedding protocol implements [`reactor::Protocol`]: framing over a
 //! byte buffer, execution of a frame into response bytes, and canned
 //! responses for budget rejection and deadline expiry. The reactor never
-//! interprets bytes itself, which is what lets the serve crate guarantee
-//! byte-identical responses to its blocking engine.
+//! interprets bytes itself, which is what lets the serve crate pin its
+//! responses to a sequential, socket-free oracle byte for byte.
 
 pub mod reactor;
 pub mod stats;

@@ -96,13 +96,6 @@ pub trait Protocol: Send + Sync + 'static {
     fn eof_response(&self, _buf: &[u8], _served: usize) -> Option<Vec<u8>> {
         None
     }
-
-    /// A connection was accepted into the reactor.
-    fn on_open(&self) {}
-    /// A connection completed its first keep-alive response.
-    fn on_keepalive(&self) {}
-    /// A connection closed; `was_keepalive` mirrors `on_keepalive`.
-    fn on_close(&self, _was_keepalive: bool) {}
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -462,7 +455,6 @@ impl<P: Protocol> Reactor<P> {
             let _ = stream.set_nodelay(true);
             self.stats.accepted.fetch_add(1, Ordering::Relaxed);
             self.stats.open.fetch_add(1, Ordering::Relaxed);
-            self.proto.on_open();
 
             let gen = self.next_gen;
             self.next_gen += 1;
@@ -563,7 +555,7 @@ impl<P: Protocol> Reactor<P> {
                     if eof {
                         if buf_len > 0 {
                             // Peer hung up mid-request: give the protocol a
-                            // chance to answer (the blocking engine's 400).
+                            // chance to answer (e.g. a 400).
                             let resp = {
                                 let conn = self.conns[token].as_ref().unwrap();
                                 self.proto.eof_response(&conn.read_buf, served)
@@ -631,7 +623,6 @@ impl<P: Protocol> Reactor<P> {
     /// state: close, keep framing pipelined input, or go idle.
     fn flush(&mut self, token: usize, start: Instant) {
         let mut closed = false;
-        let mut wrote_keepalive_response = false;
         {
             let Some(conn) = self.conns[token].as_mut() else {
                 return;
@@ -661,12 +652,9 @@ impl<P: Protocol> Reactor<P> {
                     closed = true;
                 } else if conn.served > 0 && !conn.entered_keepalive {
                     conn.entered_keepalive = true;
-                    wrote_keepalive_response = true;
+                    self.stats.keepalive.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-        if wrote_keepalive_response {
-            self.proto.on_keepalive();
         }
         if closed {
             self.close(token);
@@ -833,7 +821,9 @@ impl<P: Protocol> Reactor<P> {
         self.free.push(token);
         self.live -= 1;
         self.stats.open.fetch_sub(1, Ordering::Relaxed);
-        self.proto.on_close(conn.entered_keepalive);
+        if conn.entered_keepalive {
+            self.stats.keepalive.fetch_sub(1, Ordering::Relaxed);
+        }
         // Drop closes the socket; an executing frame for this gen may still
         // complete later and is discarded by the gen check.
     }

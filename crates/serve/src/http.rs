@@ -1,6 +1,6 @@
-//! A minimal HTTP/1.1 subset over `std::net`: enough to read requests
-//! (request line, headers, `Content-Length` body) and write responses,
-//! with hard limits on header and body size.
+//! A minimal HTTP/1.1 subset: enough to read requests (request line,
+//! headers, `Content-Length` body) and serialize responses, with hard
+//! limits on header and body size.
 //!
 //! ## Connection lifetime
 //!
@@ -16,7 +16,7 @@
 //! read-to-EOF test clients working; those clients now frame responses by
 //! `Content-Length`, so the spec default is back.)
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 
 /// Largest accepted header block.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -72,6 +72,17 @@ pub enum BadRequest {
     /// Clean close before any request byte (end of a keep-alive
     /// conversation, or a probe); not an error to report.
     Closed,
+}
+
+impl BadRequest {
+    /// The status the server answers this error with: 413 for a request
+    /// over the size limits, 400 for anything else.
+    pub fn status(&self) -> u16 {
+        match self {
+            BadRequest::TooLarge(_) => 413,
+            _ => 400,
+        }
+    }
 }
 
 impl std::fmt::Display for BadRequest {
@@ -344,10 +355,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `resp` to wire bytes (head + body in one buffer). Both server
-/// engines — the blocking worker pool and the event-driven reactor — emit
-/// responses through this single function, which is what makes their
-/// response bytes identical by construction.
+/// Serialize `resp` to wire bytes (head + body in one buffer). With
+/// `keep_alive` the connection header invites the client to reuse the
+/// socket; otherwise it announces the close that follows.
 pub fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
     let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -367,21 +377,6 @@ pub fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&resp.body);
     out
-}
-
-/// Serialize and send `resp`. With `keep_alive` the connection header
-/// invites the client to reuse the socket; otherwise it announces the
-/// close that follows. Head and body go out as **one** write: the server
-/// sets `TCP_NODELAY`, so a separate small head write would become its
-/// own segment (and its own syscall) on every response.
-pub fn write_response(
-    stream: &mut impl Write,
-    resp: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let out = serialize_response(resp, keep_alive);
-    stream.write_all(&out)?;
-    stream.flush()
 }
 
 #[cfg(test)]

@@ -12,11 +12,11 @@
 //!   now thin wrappers over a [`service::Session`].
 //! * [`service`] — the session re-export plus the fingerprint contract
 //!   (see `adds_query::fingerprint` for the composed per-query table).
-//! * [`http`] — a minimal HTTP/1.1 request reader / response writer over
-//!   `std::net`, with opt-in keep-alive.
+//! * [`http`] — a minimal HTTP/1.1 request reader and response
+//!   serializer, with keep-alive.
 //! * [`logging`] — the structured access-log line (`serve --log`).
-//! * [`server`] — the `adds-cli serve` engine: a `TcpListener` accept loop
-//!   fanned out over a fixed worker pool, routing
+//! * [`server`] — the `adds-cli serve` engine: the `adds-net` reactor
+//!   over a fixed worker pool, routing
 //!   `POST /v1/{analyze,parallelize,run,check,parse,batch}`,
 //!   `GET /v1/report/{sha256}`, `GET /v1/corpus[/{name}]`,
 //!   `GET /v1/stats`, `GET /v1/metrics` (Prometheus text),

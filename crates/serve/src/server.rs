@@ -1,19 +1,15 @@
 //! The `adds-cli serve` engine: the `/v1` API over [`crate::http`] into
-//! one shared, demand-driven [`Service`] session, behind either of two
-//! connection engines:
+//! one shared, demand-driven [`Service`] session, behind the event-driven
+//! connection core from [`adds_net`]: one nonblocking `poll(2)` loop owns
+//! every socket, an explicit connection budget answers overload with
+//! `503 Retry-After`, a timer wheel enforces read/idle deadlines
+//! (slow-loris defense), and parsed requests are executed on the `--jobs`
+//! worker pool.
 //!
-//! * [`Engine::Reactor`] (default) — the event-driven core from
-//!   [`adds_net`]: one nonblocking `poll(2)` loop owns every socket, an
-//!   explicit connection budget answers overload with `503 Retry-After`,
-//!   a timer wheel enforces read/idle deadlines (slow-loris defense), and
-//!   parsed requests are executed on the `--jobs` worker pool. Scales to
-//!   tens of thousands of keep-alive connections.
-//! * [`Engine::Blocking`] — the original thread-per-connection accept
-//!   loop over a fixed worker pool; one worker per in-flight connection.
-//!
-//! Both engines route through [`ServerState::handle`] and serialize through
-//! [`crate::http::serialize_response`], so responses are **byte-identical**
-//! between them (pinned by the `reactor_parity` tests).
+//! Every response is [`ServerState::handle`] over one request parsed by
+//! [`crate::http::read_request`], serialized by
+//! [`crate::http::serialize_response`]; the `reactor_parity` tests pin the
+//! reactor's bytes to that sequential, socket-free composition.
 //!
 //! ## Endpoints
 //!
@@ -28,7 +24,7 @@
 //! | `GET /v1/report/{sha256}` | — | cached stage document or 404 |
 //! | `GET /v1/corpus` | — | built-in program list |
 //! | `GET /v1/corpus/{name}` | — | built-in program source (text) |
-//! | `GET /v1/stats` | — | `adds.serve-stats/v4` counters + latency |
+//! | `GET /v1/stats` | — | `adds.serve-stats/v5` counters + latency |
 //! | `GET /v1/metrics` | — | Prometheus text (`adds.metrics/v1`) |
 //! | `GET /v1/trace` | — | `adds.trace/v1` buffered spans (needs `--trace`) |
 //! | `GET /healthz` | — | `ok` |
@@ -71,8 +67,8 @@
 
 use crate::corpus;
 use crate::http::{
-    read_request, serialize_response, write_response, BadRequest, Request, Response,
-    KEEPALIVE_IDLE_TIMEOUT, KEEPALIVE_MAX_REQUESTS, MAX_BODY_BYTES, MAX_HEADER_BYTES,
+    read_request, serialize_response, BadRequest, Request, Response, KEEPALIVE_IDLE_TIMEOUT,
+    KEEPALIVE_MAX_REQUESTS, MAX_BODY_BYTES, MAX_HEADER_BYTES,
 };
 use crate::json::Json;
 use crate::logging;
@@ -82,47 +78,15 @@ use crate::service::{RunRequest, Service, SessionConfig, StageRequest};
 use crate::sha::Digest;
 use adds_net::reactor::{Framed, Protocol, Reactor, ReactorOptions, Reply, StopHandle};
 use adds_net::stats::NetStats;
-use adds_obs::metrics::{prom_counter, prom_gauge, prom_histogram, Counter, Gauge, Histogram};
+use adds_obs::metrics::{prom_counter, prom_gauge, prom_histogram, Counter, Histogram};
 use adds_obs::trace;
 use adds_query::QueryKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which connection engine drives the sockets. Responses are
-/// byte-identical between the two; only concurrency behavior differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Event-driven: one `poll(2)` reactor thread owns every connection,
-    /// requests execute on the worker pool ([`adds_net`]).
-    #[default]
-    Reactor,
-    /// Thread-per-connection over a fixed worker pool (the pre-reactor
-    /// engine, kept for A/B comparison and as the parity oracle).
-    Blocking,
-}
-
-impl Engine {
-    /// Stable label (stats documents, CLI).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::Blocking => "blocking",
-        }
-    }
-
-    /// Parse a CLI value.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "reactor" => Some(Engine::Reactor),
-            "blocking" => Some(Engine::Blocking),
-            _ => None,
-        }
-    }
-}
-
-/// Default connection budget for the reactor engine.
+/// Default connection budget.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 10_240;
 
 /// Default deadline for reading one full request (slow-loris bound).
@@ -154,19 +118,15 @@ pub struct ServeOptions {
     /// store. A background thread commits the write-behind buffer every
     /// [`COMMIT_INTERVAL`]; shutdown commits once more.
     pub store_dir: Option<String>,
-    /// Connection engine (`--engine reactor|blocking`).
-    pub engine: Engine,
-    /// Reactor connection budget: accepts beyond it are answered with
-    /// `503` + `Retry-After` and counted (`adds_net_rejected_total`)
-    /// instead of piling into the accept queue. Ignored by the blocking
-    /// engine (its budget is its thread count).
+    /// Connection budget: accepts beyond it are answered with `503` +
+    /// `Retry-After` and counted (`adds_net_rejected_total`) instead of
+    /// piling into the accept queue.
     pub max_connections: usize,
-    /// Reactor deadline for reading one full request, from accept (or the
+    /// Deadline for reading one full request, from accept (or the
     /// first byte after an idle gap) to the last body byte — the
     /// slow-loris bound. A dribbling client cannot extend it.
     pub read_timeout: Duration,
-    /// Reactor idle keep-alive timeout between requests (the blocking
-    /// engine's [`KEEPALIVE_IDLE_TIMEOUT`] is the same default).
+    /// Idle keep-alive timeout between requests.
     pub idle_timeout: Duration,
 }
 
@@ -180,7 +140,6 @@ impl Default for ServeOptions {
             instrument: true,
             trace_path: None,
             store_dir: None,
-            engine: Engine::Reactor,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             read_timeout: DEFAULT_READ_TIMEOUT,
             idle_timeout: KEEPALIVE_IDLE_TIMEOUT,
@@ -188,42 +147,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// Per-endpoint request counters (monotonic, relaxed).
-#[derive(Debug, Default)]
-pub struct RequestStats {
-    /// `POST /v1/analyze`
-    pub analyze: AtomicU64,
-    /// `POST /v1/parallelize`
-    pub parallelize: AtomicU64,
-    /// `POST /v1/run`
-    pub run: AtomicU64,
-    /// `POST /v1/check`
-    pub check: AtomicU64,
-    /// `POST /v1/parse`
-    pub parse: AtomicU64,
-    /// `POST /v1/batch`
-    pub batch: AtomicU64,
-    /// `GET /v1/report/{sha}`
-    pub report: AtomicU64,
-    /// `GET /v1/corpus[/{name}]`
-    pub corpus: AtomicU64,
-    /// `GET /v1/stats`
-    pub stats: AtomicU64,
-    /// `GET /healthz`
-    pub healthz: AtomicU64,
-    /// `GET /v1/metrics`
-    pub metrics: AtomicU64,
-    /// `GET /v1/trace`
-    pub trace: AtomicU64,
-    /// Anything else (404s, bad methods, unreadable requests).
-    pub other: AtomicU64,
-}
-
-/// Route classification for per-route metrics — one variant per
-/// `/v1/stats` request counter, dense so histograms index by it.
+/// A request's route: one variant per `/v1/stats` request counter, dense
+/// so counters and histograms index by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-#[allow(missing_docs)] // names mirror the RequestStats fields 1:1
+#[allow(missing_docs)] // names mirror the `/v1/stats` request keys 1:1
 pub enum Route {
     Analyze,
     Parallelize,
@@ -241,7 +169,7 @@ pub enum Route {
 }
 
 impl Route {
-    /// Number of routes (the histogram array length).
+    /// Number of routes (the counter and histogram array length).
     pub const COUNT: usize = 13;
 
     /// Every route, in declaration order (`as usize` indexes this).
@@ -280,46 +208,56 @@ impl Route {
         }
     }
 
-    /// Classify a request the same way [`ServerState::handle`] routes it.
+    /// The route an exact `path` names, with the one method it answers.
+    /// A known path asked with another method is a 405, not a 404.
+    fn exact(path: &str) -> Option<(Route, &'static str)> {
+        Some(match path {
+            "/healthz" => (Route::Healthz, "GET"),
+            "/v1/stats" => (Route::Stats, "GET"),
+            "/v1/metrics" => (Route::Metrics, "GET"),
+            "/v1/trace" => (Route::Trace, "GET"),
+            "/v1/corpus" => (Route::Corpus, "GET"),
+            "/v1/analyze" => (Route::Analyze, "POST"),
+            "/v1/parallelize" => (Route::Parallelize, "POST"),
+            "/v1/run" => (Route::Run, "POST"),
+            "/v1/check" => (Route::Check, "POST"),
+            "/v1/parse" => (Route::Parse, "POST"),
+            "/v1/batch" => (Route::Batch, "POST"),
+            _ => return None,
+        })
+    }
+
+    /// Route one request; [`ServerState::handle`] dispatches on this.
     pub fn classify(method: &str, path: &str) -> Route {
-        match (method, path) {
-            ("GET", "/healthz") => Route::Healthz,
-            ("GET", "/v1/stats") => Route::Stats,
-            ("GET", "/v1/metrics") => Route::Metrics,
-            ("GET", "/v1/trace") => Route::Trace,
-            ("GET", p) if p == "/v1/corpus" || p.starts_with("/v1/corpus/") => Route::Corpus,
-            ("GET", p) if p.starts_with("/v1/report/") => Route::Report,
-            ("POST", "/v1/analyze") => Route::Analyze,
-            ("POST", "/v1/parallelize") => Route::Parallelize,
-            ("POST", "/v1/run") => Route::Run,
-            ("POST", "/v1/check") => Route::Check,
-            ("POST", "/v1/parse") => Route::Parse,
-            ("POST", "/v1/batch") => Route::Batch,
-            _ => Route::Other,
+        match Route::exact(path) {
+            Some((route, m)) if m == method => route,
+            Some(_) => Route::Other,
+            None if method == "GET" && path.starts_with("/v1/corpus/") => Route::Corpus,
+            None if method == "GET" && path.starts_with("/v1/report/") => Route::Report,
+            None => Route::Other,
         }
     }
 }
 
-/// Per-route latency histograms plus connection gauges — the
-/// `GET /v1/metrics` backing store. All lock-free.
+/// Per-route request counters and latency histograms plus the body byte
+/// counter — the `/v1/stats` and `GET /v1/metrics` backing store. All
+/// lock-free.
 pub struct ServeMetrics {
+    /// Requests per route, indexed by `Route as usize` (monotonic; counted
+    /// whether or not `instrument` is on).
+    pub requests: [Counter; Route::COUNT],
     /// Request latency (µs) per route, indexed by `Route as usize`.
     pub route_latency: [Histogram; Route::COUNT],
     /// Total request body bytes read.
     pub bytes_in: Counter,
-    /// Connections currently open.
-    pub open_connections: Gauge,
-    /// Connections currently parked in (or serving) keep-alive reuse.
-    pub keepalive_connections: Gauge,
 }
 
 impl Default for ServeMetrics {
     fn default() -> Self {
         ServeMetrics {
+            requests: Default::default(),
             route_latency: std::array::from_fn(|_| Histogram::new()),
             bytes_in: Counter::new(),
-            open_connections: Gauge::new(),
-            keepalive_connections: Gauge::new(),
         }
     }
 }
@@ -329,32 +267,28 @@ impl Default for ServeMetrics {
 pub struct ServerState {
     /// The demand-driven stage/run executor.
     pub service: Service,
-    /// Per-endpoint counters surfaced by `/v1/stats`.
-    pub requests: RequestStats,
-    /// Latency histograms and connection gauges (`/v1/metrics`).
+    /// Request counters and latency histograms (`/v1/stats`,
+    /// `/v1/metrics`).
     pub metrics: ServeMetrics,
     /// Emit access-log lines (`serve --log`).
     pub log_requests: bool,
-    /// Record latency/gauges and (when tracing) spans; off in the bench
-    /// driver's bare mode.
+    /// Record latency and (when tracing) spans; off in the bench driver's
+    /// bare mode.
     pub instrument: bool,
-    /// Event-loop counters (`/v1/stats` `net` section, `adds_net_*`
-    /// metrics). All-zero under the blocking engine.
+    /// Event-loop counters, connection gauges included (`/v1/stats`
+    /// `net` and `connections` sections, `adds_net_*` and
+    /// `adds_connections_*` metrics).
     pub net: Arc<NetStats>,
-    /// Which engine is serving (labels the stats document).
-    pub engine: Engine,
 }
 
 impl Default for ServerState {
     fn default() -> Self {
         ServerState {
             service: Service::default(),
-            requests: RequestStats::default(),
             metrics: ServeMetrics::default(),
             log_requests: false,
             instrument: true,
             net: Arc::new(NetStats::default()),
-            engine: Engine::default(),
         }
     }
 }
@@ -370,107 +304,42 @@ const MAX_BATCH_ITEMS: usize = 256;
 const MAX_BATCH_RUN_ITEMS: usize = 4;
 
 impl ServerState {
-    fn count(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Route one request to a response.
     pub fn handle(&self, req: &Request) -> Response {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => {
-                self.count(&self.requests.healthz);
-                Response::text(200, "ok\n")
-            }
-            ("GET", "/v1/stats") => {
-                self.count(&self.requests.stats);
-                Response::json(200, self.stats_doc().pretty())
-            }
-            ("GET", "/v1/metrics") => {
-                self.count(&self.requests.metrics);
-                Response::text(200, self.metrics_text())
-            }
-            ("GET", "/v1/trace") => {
-                self.count(&self.requests.trace);
+        self.dispatch(Route::classify(&req.method, &req.path), req)
+    }
+
+    /// Count and answer `req`, already classified as `route`.
+    fn dispatch(&self, route: Route, req: &Request) -> Response {
+        self.metrics.requests[route as usize].inc();
+        match route {
+            Route::Healthz => Response::text(200, "ok\n"),
+            Route::Stats => Response::json(200, self.stats_doc().pretty()),
+            Route::Metrics => Response::text(200, self.metrics_text()),
+            Route::Trace => {
                 if trace::enabled() {
                     Response::json(200, trace::render_current())
                 } else {
                     Response::error(404, "tracing is off; start the server with --trace")
                 }
             }
-            ("GET", "/v1/corpus") => {
-                self.count(&self.requests.corpus);
-                let list = Json::obj([
-                    ("schema", Json::str("adds.corpus/v1")),
-                    (
-                        "programs",
-                        Json::Arr(
-                            corpus::CORPUS
-                                .iter()
-                                .map(|e| {
-                                    Json::obj([
-                                        ("name", Json::str(e.name)),
-                                        ("about", Json::str(e.about)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]);
-                Response::json(200, list.pretty())
-            }
-            ("GET", path) if path.starts_with("/v1/corpus/") => {
-                self.count(&self.requests.corpus);
-                let name = &path["/v1/corpus/".len()..];
-                match corpus::find(name) {
+            Route::Corpus => match req.path.strip_prefix("/v1/corpus/") {
+                Some(name) => match corpus::find(name) {
                     Some(e) => Response::text(200, e.source),
                     None => Response::error(404, &format!("unknown corpus program `{name}`")),
-                }
-            }
-            ("GET", path) if path.starts_with("/v1/report/") => {
-                self.count(&self.requests.report);
-                self.report_lookup(&path["/v1/report/".len()..], req)
-            }
-            ("POST", "/v1/analyze") => {
-                self.count(&self.requests.analyze);
-                self.stage_request(Stage::Analyze, req)
-            }
-            ("POST", "/v1/parallelize") => {
-                self.count(&self.requests.parallelize);
-                self.stage_request(Stage::Parallelize, req)
-            }
-            ("POST", "/v1/check") => {
-                self.count(&self.requests.check);
-                self.stage_request(Stage::Check, req)
-            }
-            ("POST", "/v1/parse") => {
-                self.count(&self.requests.parse);
-                self.stage_request(Stage::Parse, req)
-            }
-            ("POST", "/v1/run") => {
-                self.count(&self.requests.run);
-                self.run_request(req)
-            }
-            ("POST", "/v1/batch") => {
-                self.count(&self.requests.batch);
-                self.batch_request(req)
-            }
-            (method, path) => {
-                self.count(&self.requests.other);
-                let known_path = matches!(
-                    path,
-                    "/healthz"
-                        | "/v1/stats"
-                        | "/v1/metrics"
-                        | "/v1/trace"
-                        | "/v1/corpus"
-                        | "/v1/analyze"
-                        | "/v1/parallelize"
-                        | "/v1/check"
-                        | "/v1/parse"
-                        | "/v1/run"
-                        | "/v1/batch"
-                );
-                if known_path {
+                },
+                None => corpus_list(),
+            },
+            Route::Report => self.report_lookup(&req.path["/v1/report/".len()..], req),
+            Route::Analyze => self.stage_request(Stage::Analyze, req),
+            Route::Parallelize => self.stage_request(Stage::Parallelize, req),
+            Route::Check => self.stage_request(Stage::Check, req),
+            Route::Parse => self.stage_request(Stage::Parse, req),
+            Route::Run => self.run_request(req),
+            Route::Batch => self.batch_request(req),
+            Route::Other => {
+                let (method, path) = (&req.method, &req.path);
+                if Route::exact(path).is_some() {
                     Response::error(405, &format!("method {method} not allowed on {path}"))
                 } else {
                     Response::error(404, &format!("no route for {method} {path}"))
@@ -492,6 +361,7 @@ impl ServerState {
     /// event-driven engine.)
     pub fn stats_doc(&self) -> Json {
         let cs = self.service.stats();
+        let net = self.net.snapshot();
         let u = |a: &AtomicU64| Json::UInt(a.load(Ordering::Relaxed));
         Json::obj([
             ("schema", Json::str("adds.serve-stats/v5")),
@@ -540,21 +410,15 @@ impl ServerState {
             ),
             (
                 "requests",
-                Json::obj([
-                    ("analyze", u(&self.requests.analyze)),
-                    ("parallelize", u(&self.requests.parallelize)),
-                    ("run", u(&self.requests.run)),
-                    ("check", u(&self.requests.check)),
-                    ("parse", u(&self.requests.parse)),
-                    ("batch", u(&self.requests.batch)),
-                    ("report", u(&self.requests.report)),
-                    ("corpus", u(&self.requests.corpus)),
-                    ("stats", u(&self.requests.stats)),
-                    ("healthz", u(&self.requests.healthz)),
-                    ("metrics", u(&self.requests.metrics)),
-                    ("trace", u(&self.requests.trace)),
-                    ("other", u(&self.requests.other)),
-                ]),
+                Json::Obj(
+                    Route::ALL
+                        .iter()
+                        .map(|&r| {
+                            let n = self.metrics.requests[r as usize].get();
+                            (r.name().to_string(), Json::UInt(n))
+                        })
+                        .collect(),
+                ),
             ),
             (
                 "latency",
@@ -627,26 +491,23 @@ impl ServerState {
             (
                 "connections",
                 Json::obj([
-                    ("open", Json::Int(self.metrics.open_connections.get())),
-                    (
-                        "keepalive",
-                        Json::Int(self.metrics.keepalive_connections.get()),
-                    ),
+                    ("open", Json::Int(net.open as i64)),
+                    ("keepalive", Json::Int(net.keepalive as i64)),
                 ]),
             ),
-            ("net", {
-                let n = self.net.snapshot();
+            (
+                "net",
                 Json::obj([
-                    ("engine", Json::str(self.engine.name())),
-                    ("open", Json::UInt(n.open)),
-                    ("accepted", Json::UInt(n.accepted)),
-                    ("rejected", Json::UInt(n.rejected)),
-                    ("dispatched", Json::UInt(n.dispatched)),
-                    ("inline", Json::UInt(n.inline_served)),
-                    ("poll_wakeups", Json::UInt(n.poll_wakeups)),
-                    ("timer_expirations", Json::UInt(n.timer_expirations)),
-                ])
-            }),
+                    ("engine", Json::str("reactor")),
+                    ("open", Json::UInt(net.open)),
+                    ("accepted", Json::UInt(net.accepted)),
+                    ("rejected", Json::UInt(net.rejected)),
+                    ("dispatched", Json::UInt(net.dispatched)),
+                    ("inline", Json::UInt(net.inline_served)),
+                    ("poll_wakeups", Json::UInt(net.poll_wakeups)),
+                    ("timer_expirations", Json::UInt(net.timer_expirations)),
+                ]),
+            ),
             ("store", self.store_doc()),
         ])
     }
@@ -693,23 +554,10 @@ impl ServerState {
         let mut out = String::from("# adds.metrics/v1\n");
 
         out.push_str("# TYPE adds_requests_total counter\n");
-        for (&route, counter) in Route::ALL.iter().zip([
-            &self.requests.analyze,
-            &self.requests.parallelize,
-            &self.requests.run,
-            &self.requests.check,
-            &self.requests.parse,
-            &self.requests.batch,
-            &self.requests.report,
-            &self.requests.corpus,
-            &self.requests.stats,
-            &self.requests.healthz,
-            &self.requests.metrics,
-            &self.requests.trace,
-            &self.requests.other,
-        ]) {
+        for &route in Route::ALL {
             let label = format!("route=\"{}\"", route.name());
-            prom_counter(&mut out, "adds_requests_total", &label, a(counter));
+            let n = self.metrics.requests[route as usize].get();
+            prom_counter(&mut out, "adds_requests_total", &label, n);
         }
         prom_counter(
             &mut out,
@@ -800,21 +648,16 @@ impl ServerState {
             );
         }
 
+        let n = self.net.snapshot();
         out.push_str("# TYPE adds_connections_open gauge\n");
-        prom_gauge(
-            &mut out,
-            "adds_connections_open",
-            "",
-            self.metrics.open_connections.get(),
-        );
+        prom_gauge(&mut out, "adds_connections_open", "", n.open as i64);
         prom_gauge(
             &mut out,
             "adds_connections_keepalive",
             "",
-            self.metrics.keepalive_connections.get(),
+            n.keepalive as i64,
         );
 
-        let n = self.net.snapshot();
         out.push_str("# TYPE adds_net_accepted_total counter\n");
         prom_counter(&mut out, "adds_net_accepted_total", "", n.accepted);
         prom_counter(&mut out, "adds_net_rejected_total", "", n.rejected);
@@ -1118,6 +961,19 @@ impl ServerState {
     }
 }
 
+/// The `GET /v1/corpus` document: every built-in program's name and blurb.
+fn corpus_list() -> Response {
+    let programs = corpus::CORPUS
+        .iter()
+        .map(|e| Json::obj([("name", Json::str(e.name)), ("about", Json::str(e.about))]))
+        .collect();
+    let list = Json::obj([
+        ("schema", Json::str("adds.corpus/v1")),
+        ("programs", Json::Arr(programs)),
+    ]);
+    Response::json(200, list.pretty())
+}
+
 /// A `{count, p50_us, p90_us, p99_us}` summary of one latency histogram
 /// (quantiles are log₂-bucket upper bounds — within one bucket width of
 /// the true value; 0 when empty).
@@ -1285,9 +1141,7 @@ pub fn parse_usize_list(s: &str) -> Option<Vec<usize>> {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    jobs: usize,
     trace_path: Option<String>,
-    engine: Engine,
     reactor_opts: ReactorOptions,
 }
 
@@ -1338,16 +1192,12 @@ impl Server {
                     jobs: opts.jobs,
                     store,
                 }),
-                requests: RequestStats::default(),
                 metrics: ServeMetrics::default(),
                 net: Arc::new(NetStats::default()),
                 log_requests: opts.log,
                 instrument: opts.instrument,
-                engine: opts.engine,
             }),
-            jobs,
             trace_path: opts.trace_path.clone(),
-            engine: opts.engine,
             reactor_opts: ReactorOptions {
                 workers: jobs,
                 max_connections: opts.max_connections.max(1),
@@ -1371,89 +1221,57 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Serve until the process exits. [`Engine::Reactor`] runs the event
-    /// loop on the calling thread (workers live inside the reactor);
-    /// [`Engine::Blocking`] runs `jobs - 1` background accept workers
-    /// plus the calling thread.
+    /// Serve until the process exits: the event loop runs on the calling
+    /// thread (workers live inside the reactor).
     pub fn run(self) -> std::io::Result<()> {
         let stop = Arc::new(AtomicBool::new(false));
         let flusher = spawn_flusher(&self.state, &stop);
-        match self.engine {
-            Engine::Blocking => {
-                let mut workers = Vec::new();
-                for _ in 1..self.jobs {
-                    workers.push(spawn_worker(&self.listener, &self.state, &stop)?);
-                }
-                worker_loop(&self.listener, &self.state, &stop);
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            Engine::Reactor => {
-                let proto = Arc::new(HttpProto {
-                    state: Arc::clone(&self.state),
-                });
-                let reactor = Reactor::new(
-                    self.listener,
-                    proto,
-                    self.reactor_opts,
-                    Arc::clone(&self.state.net),
-                    Arc::clone(&stop),
-                )?;
-                reactor.run();
-            }
-        }
+        let trace_path = self.trace_path.clone();
+        self.into_reactor(&stop)?.run();
         stop.store(true, Ordering::SeqCst);
         if let Some(f) = flusher {
             let _ = f.join();
         }
-        if let Some(path) = &self.trace_path {
+        if let Some(path) = &trace_path {
             trace::dump_to_file(path)?;
         }
         Ok(())
     }
 
-    /// Start serving on background threads and return a handle that can
+    /// Start serving on a background thread and return a handle that can
     /// stop the server (used by tests and the bench driver).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flusher = spawn_flusher(&self.state, &stop);
-        let (workers, reactor_stop) = match self.engine {
-            Engine::Blocking => {
-                let mut workers = Vec::new();
-                for _ in 0..self.jobs {
-                    workers.push(spawn_worker(&self.listener, &self.state, &stop)?);
-                }
-                (workers, None)
-            }
-            Engine::Reactor => {
-                let proto = Arc::new(HttpProto {
-                    state: Arc::clone(&self.state),
-                });
-                let reactor = Reactor::new(
-                    self.listener,
-                    proto,
-                    self.reactor_opts,
-                    Arc::clone(&self.state.net),
-                    Arc::clone(&stop),
-                )?;
-                let handle = reactor.stop_handle();
-                let join = std::thread::Builder::new()
-                    .name("net-reactor".into())
-                    .spawn(move || reactor.run())?;
-                (vec![join], Some(handle))
-            }
-        };
+        let (state, trace_path) = (Arc::clone(&self.state), self.trace_path.clone());
+        let reactor = self.into_reactor(&stop)?;
+        let stop = reactor.stop_handle();
+        let reactor = std::thread::Builder::new()
+            .name("net-reactor".into())
+            .spawn(move || reactor.run())?;
         Ok(ServerHandle {
             addr,
-            state: self.state,
+            state,
+            reactor: Some(reactor),
             stop,
-            workers,
             flusher,
-            trace_path: self.trace_path,
-            reactor_stop,
+            trace_path,
         })
+    }
+
+    /// The event loop over this server's listener, stopped by `stop`.
+    fn into_reactor(self, stop: &Arc<AtomicBool>) -> std::io::Result<Reactor<HttpProto>> {
+        let proto = Arc::new(HttpProto {
+            state: Arc::clone(&self.state),
+        });
+        Reactor::new(
+            self.listener,
+            proto,
+            self.reactor_opts,
+            Arc::clone(&self.state.net),
+            Arc::clone(stop),
+        )
     }
 }
 
@@ -1483,94 +1301,11 @@ fn spawn_flusher(
     }))
 }
 
-fn spawn_worker(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    stop: &Arc<AtomicBool>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    let listener = listener.try_clone()?;
-    let state = Arc::clone(state);
-    let stop = Arc::clone(stop);
-    Ok(std::thread::spawn(move || {
-        worker_loop(&listener, &state, &stop)
-    }))
-}
-
-/// Per-connection socket timeout for the *first* request: a worker
-/// blocked on a silent client gets its thread back instead of being
-/// parked forever (which would let `jobs` idle connections freeze the
-/// whole fixed pool). Subsequent keep-alive reads use the shorter
-/// [`KEEPALIVE_IDLE_TIMEOUT`].
-const SOCKET_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
-
-fn worker_loop(listener: &TcpListener, state: &ServerState, stop: &AtomicBool) {
-    loop {
-        let conn = listener.accept();
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((mut conn, _)) = conn else {
-            // Accept can fail persistently (e.g. EMFILE under fd
-            // exhaustion); back off instead of spinning the core.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            continue;
-        };
-        handle_connection(&mut conn, state);
-    }
-}
-
-/// Serve one connection: read a request, route it, write the response —
-/// and, when the client opted into keep-alive, loop for the next request
-/// until the idle timeout, the per-connection cap, or a close. Socket
-/// errors are dropped: the client has gone away and the exit code of a
-/// server is not the place to report that.
-/// Keeps the connection gauges honest on every exit path: open on
-/// construction, closed (and un-counted from keep-alive, if parked
-/// there) on drop.
-struct ConnGauges<'a> {
-    metrics: &'a ServeMetrics,
-    on: bool,
-    keepalive: bool,
-}
-
-impl<'a> ConnGauges<'a> {
-    fn new(metrics: &'a ServeMetrics, on: bool) -> ConnGauges<'a> {
-        if on {
-            metrics.open_connections.inc();
-        }
-        ConnGauges {
-            metrics,
-            on,
-            keepalive: false,
-        }
-    }
-
-    /// The connection survived its first response and is now reusable.
-    fn entered_keepalive(&mut self) {
-        if self.on && !self.keepalive {
-            self.keepalive = true;
-            self.metrics.keepalive_connections.inc();
-        }
-    }
-}
-
-impl Drop for ConnGauges<'_> {
-    fn drop(&mut self) {
-        if self.on {
-            self.metrics.open_connections.dec();
-            if self.keepalive {
-                self.metrics.keepalive_connections.dec();
-            }
-        }
-    }
-}
-
-/// The shared request-execution path of **both** engines: routing, panic
-/// containment, tracing, route-latency metrics, and access logging, in
-/// exactly this order. Returns the response, whether the connection may
-/// be kept alive (`served` is 1-based), and the still-open `serve.request`
-/// span — the caller drops it after serializing, so span timing matches
-/// the blocking engine's historical shape.
+/// The request-execution path: routing, panic containment, tracing,
+/// route-latency metrics, and access logging, in exactly this order.
+/// Returns the response, whether the connection may be kept alive
+/// (`served` is 1-based), and the still-open `serve.request` span — the
+/// caller drops it after serializing, so the span covers serialization.
 fn process_request(
     state: &ServerState,
     req: &Request,
@@ -1583,6 +1318,7 @@ fn process_request(
     } else {
         None
     };
+    let route = Route::classify(&req.method, &req.path);
     let started = std::time::Instant::now();
     let resp = {
         let _execute = if tracing {
@@ -1590,9 +1326,10 @@ fn process_request(
         } else {
             None
         };
-        // A handler panic must not take down a pool worker (blocking
-        // engine) or wedge a reactor connection forever.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.handle(req))) {
+        // A handler panic must not take down a pool worker or wedge a
+        // connection forever.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.dispatch(route, req)))
+        {
             Ok(resp) => resp,
             Err(_) => Response::error(500, "internal error"),
         }
@@ -1604,7 +1341,6 @@ fn process_request(
         s.arg("status", resp.status.to_string());
     }
     if state.instrument {
-        let route = Route::classify(&req.method, &req.path);
         state.metrics.route_latency[route as usize].record(micros);
         state.metrics.bytes_in.add(req.body.len() as u64);
     }
@@ -1614,15 +1350,10 @@ fn process_request(
     (resp, keep_alive, root)
 }
 
-/// Count, record, log, and render the response for an unreadable request —
-/// the shared error path of both engines (must stay byte-identical).
+/// Count, record, log, and render the response for an unreadable request.
 fn bad_request_response(state: &ServerState, e: &BadRequest) -> Response {
-    state.requests.other.fetch_add(1, Ordering::Relaxed);
-    let status = match e {
-        BadRequest::TooLarge(_) => 413,
-        _ => 400,
-    };
-    let resp = Response::error(status, &e.to_string());
+    state.metrics.requests[Route::Other as usize].inc();
+    let resp = Response::error(e.status(), &e.to_string());
     if state.log_requests {
         emit_access_line("-", "-", &resp, 0, 0);
     }
@@ -1638,9 +1369,8 @@ fn headers_complete(buf: &[u8]) -> bool {
 }
 
 /// The HTTP glue between [`adds_net`]'s reactor and [`ServerState`]:
-/// frames with the exact [`read_request`] parser, executes through the
-/// exact [`process_request`] path, and serializes with the exact
-/// [`serialize_response`] bytes the blocking engine writes.
+/// frames with the [`read_request`] parser, executes through
+/// [`process_request`], and serializes with [`serialize_response`].
 struct HttpProto {
     state: Arc<ServerState>,
 }
@@ -1734,103 +1464,13 @@ impl Protocol for HttpProto {
 
     fn eof_response(&self, buf: &[u8], served: usize) -> Option<Vec<u8>> {
         // The client closed mid-request; the buffer really is all there
-        // is, so re-parse it with EOF semantics and mirror the blocking
-        // engine's error branch byte for byte.
+        // is, so re-parse it with EOF semantics and answer the parse error.
         match Self::parse(buf) {
             (Ok(_), _) | (Err(BadRequest::Closed), _) => None,
-            // Mid-stream EOF on a keep-alive connection is silent there too.
+            // Mid-stream EOF on a keep-alive connection closes silently.
             (Err(BadRequest::Io(_)), _) if served > 0 => None,
             (Err(e), _) => Some(self.error_bytes(&e)),
         }
-    }
-
-    fn on_open(&self) {
-        if self.state.instrument {
-            self.state.metrics.open_connections.inc();
-        }
-    }
-
-    fn on_keepalive(&self) {
-        if self.state.instrument {
-            self.state.metrics.keepalive_connections.inc();
-        }
-    }
-
-    fn on_close(&self, was_keepalive: bool) {
-        if self.state.instrument {
-            self.state.metrics.open_connections.dec();
-            if was_keepalive {
-                self.state.metrics.keepalive_connections.dec();
-            }
-        }
-    }
-}
-
-fn handle_connection(conn: &mut TcpStream, state: &ServerState) {
-    let _ = conn.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = conn.set_write_timeout(Some(SOCKET_TIMEOUT));
-    // Responses are written as head + body; without TCP_NODELAY, Nagle
-    // holds the second small segment until the client ACKs, which on a
-    // keep-alive connection (no close to flush it) costs a delayed-ACK
-    // round trip (~40ms) per request.
-    let _ = conn.set_nodelay(true);
-    // ONE buffered reader for the whole connection: read-ahead from one
-    // request (a pipelined next request) must survive into the next
-    // `read_request` call. Responses are written through `get_mut`.
-    let mut reader = std::io::BufReader::new(conn);
-    let mut served = 0usize;
-    let mut gauges = ConnGauges::new(&state.metrics, state.instrument);
-    let tracing = state.instrument && trace::enabled();
-    loop {
-        // The parse-body span must not absorb keep-alive idle time, so
-        // when tracing, block for the first byte *before* starting the
-        // clock.
-        if tracing {
-            use std::io::BufRead;
-            let _ = reader.fill_buf();
-        }
-        let parse_started = std::time::Instant::now();
-        let req = match read_request(&mut reader) {
-            Ok(req) => req,
-            Err(BadRequest::Closed) => return,
-            Err(BadRequest::Io(_)) if served > 0 => {
-                // Idle keep-alive connection timed out or died mid-read;
-                // nothing useful to answer.
-                return;
-            }
-            Err(e) => {
-                let resp = bad_request_response(state, &e);
-                let _ = write_response(reader.get_mut(), &resp, false);
-                return;
-            }
-        };
-        if tracing {
-            trace::complete_between(
-                "serve.parse-body",
-                "serve",
-                parse_started,
-                std::time::Instant::now(),
-                vec![("path", req.path.clone())],
-            );
-        }
-        served += 1;
-        let (resp, keep_alive, root) = process_request(state, &req, served);
-        let write_ok = {
-            let _serialize = if tracing {
-                trace::span("serve.serialize", "serve")
-            } else {
-                None
-            };
-            write_response(reader.get_mut(), &resp, keep_alive).is_ok()
-        };
-        drop(root);
-        if !write_ok || !keep_alive {
-            return;
-        }
-        gauges.entered_keepalive();
-        let _ = reader
-            .get_ref()
-            .set_read_timeout(Some(KEEPALIVE_IDLE_TIMEOUT));
     }
 }
 
@@ -1852,15 +1492,14 @@ fn emit_access_line(method: &str, path: &str, resp: &Response, duration_us: u64,
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::stop`])
-/// shuts the workers down.
+/// stops the reactor, drains its connections, and joins its thread.
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
     state: Arc<ServerState>,
-    stop: Arc<AtomicBool>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    reactor: Option<std::thread::JoinHandle<()>>,
+    stop: StopHandle,
     flusher: Option<std::thread::JoinHandle<()>>,
     trace_path: Option<String>,
-    reactor_stop: Option<StopHandle>,
 }
 
 impl ServerHandle {
@@ -1874,8 +1513,7 @@ impl ServerHandle {
         Arc::clone(&self.state)
     }
 
-    /// Stop the workers: set the flag, then poke the listener once per
-    /// worker so blocked `accept`s wake up and observe it.
+    /// Stop the server.
     pub fn stop(self) {
         // Shutdown lives in Drop so that both explicit stops and scope
         // exits go through the same sequence.
@@ -1884,21 +1522,11 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        match &self.reactor_stop {
-            // The reactor owns every socket; its waker interrupts the
-            // poll, and drain closes idle connections immediately.
-            Some(h) => h.stop(),
-            // Blocking workers park in accept(); poke the listener once
-            // per worker so each observes the flag.
-            None => {
-                for _ in 0..self.workers.len() {
-                    let _ = TcpStream::connect(self.addr);
-                }
-            }
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        // Sets the shared stop flag (the flusher watches it too) and wakes
+        // the poll; drain closes idle connections immediately.
+        self.stop.stop();
+        if let Some(r) = self.reactor.take() {
+            let _ = r.join();
         }
         // The flusher's exit path runs the final commit, so joining it is
         // what makes a clean stop lossless.

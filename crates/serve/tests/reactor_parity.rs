@@ -1,33 +1,46 @@
-//! The reactor engine against the blocking engine, over real sockets:
+//! The reactor against an in-process oracle, over real sockets:
 //!
-//! * **byte-identity** — the same request sequence against a fresh server
-//!   of each engine must produce byte-identical responses, across every
-//!   corpus program and stage, the GET endpoints, and the error paths
-//!   (this is the contract that makes the engines interchangeable);
+//! * **byte-identity** — every response the reactor writes must equal
+//!   [`oracle`]: the same complete request bytes parsed by `read_request`,
+//!   answered by `ServerState::handle` on a fresh state, and serialized by
+//!   `serialize_response`, with no sockets in between. Covers every
+//!   corpus program and stage, the GET endpoints, and the error paths;
 //! * **partial I/O torture** — requests dribbled a byte at a time and
 //!   pipelined requests split at arbitrary packet boundaries must
-//!   reassemble to the same responses;
+//!   reassemble to the oracle's responses;
 //! * **slow-loris defense** — a client that trickles headers forever is
 //!   answered `408` and reaped by the timer wheel, not parked on a worker;
 //! * **connection budget** — connections over `--max-conns` get
 //!   `503` + `Retry-After` and are counted, while established
 //!   connections keep working;
-//! * **`/v1/stats` v5** — the `net` section reports the live engine.
+//! * **`/v1/stats` v5** — the `net` section reports the live reactor.
 
+use adds_serve::http::{read_request, serialize_response, Response};
 use adds_serve::json::Json;
-use adds_serve::server::{Engine, ServeOptions, Server, ServerHandle};
-use std::io::{ErrorKind, Read, Write};
+use adds_serve::server::{ServeOptions, Server, ServerHandle, ServerState};
+use std::io::{BufReader, Cursor, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-fn spawn_engine(engine: Engine) -> ServerHandle {
+fn spawn_server() -> ServerHandle {
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         jobs: 2,
-        engine,
         ..ServeOptions::default()
     };
     Server::bind(&opts).expect("bind").spawn().expect("spawn")
+}
+
+/// The reference answer to one complete request: parse, handle, and
+/// serialize in-process. A parse error gets its 400/413 error document
+/// and `Connection: close`. Use one `state` per request sequence, so
+/// `X-Adds-Cache` miss/hit labels line up with the server's.
+fn oracle(state: &ServerState, raw: &[u8]) -> Vec<u8> {
+    let mut reader = BufReader::new(Cursor::new(raw));
+    match read_request(&mut reader) {
+        Ok(req) => serialize_response(&state.handle(&req), req.keep_alive),
+        Err(e) => serialize_response(&Response::error(e.status(), &e.to_string()), false),
+    }
 }
 
 /// Read exactly one `Content-Length`-framed response as raw bytes,
@@ -91,13 +104,13 @@ fn status_of(raw: &[u8]) -> u16 {
 }
 
 #[test]
-fn engines_answer_byte_identically_across_the_corpus() {
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+fn reactor_matches_the_oracle_across_the_corpus() {
+    let server = spawn_server();
+    let oracle_state = ServerState::default();
 
-    // The same sequence against both fresh servers, so cache outcomes
-    // (`X-Adds-Cache: miss` then `hit`) line up too. Stats/metrics are
-    // excluded: their payloads intentionally differ per engine.
+    // The same sequence against the fresh server and the fresh oracle
+    // state, so cache outcomes (`X-Adds-Cache: miss` then `hit`) line up
+    // too. Stats/metrics are excluded: their payloads count sockets.
     let mut requests: Vec<Vec<u8>> = Vec::new();
     for entry in adds_serve::corpus::CORPUS {
         for stage in ["analyze", "parallelize", "check", "parse"] {
@@ -127,58 +140,48 @@ fn engines_answer_byte_identically_across_the_corpus() {
     );
 
     for (i, req) in requests.iter().enumerate() {
-        let a = raw_request(reactor.addr(), req);
-        let b = raw_request(blocking.addr(), req);
+        let got = raw_request(server.addr(), req);
+        let want = oracle(&oracle_state, req);
         assert_eq!(
-            a,
-            b,
-            "request #{i} diverged:\nreactor:  {:?}\nblocking: {:?}",
-            String::from_utf8_lossy(&a),
-            String::from_utf8_lossy(&b)
+            got,
+            want,
+            "request #{i} diverged:\nreactor: {:?}\noracle:  {:?}",
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want)
         );
     }
-
-    reactor.stop();
-    blocking.stop();
+    server.stop();
 }
 
 #[test]
-fn engines_agree_on_truncated_requests() {
-    // A client that sends half a request and half-closes: the blocking
-    // engine answers 400 on the parse error; the reactor's EOF path must
-    // produce the identical bytes.
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+fn reactor_matches_the_oracle_on_truncated_requests() {
+    // A client that sends half a request and half-closes: the reactor's
+    // EOF path must answer the parse error exactly as the oracle does.
+    let server = spawn_server();
     let truncated: &[u8] = b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Le";
-    let one = |addr: SocketAddr| {
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.write_all(truncated).expect("write");
-        conn.shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        let mut resp = Vec::new();
-        conn.read_to_end(&mut resp).expect("read");
-        resp
-    };
-    let a = one(reactor.addr());
-    let b = one(blocking.addr());
-    assert_eq!(status_of(&a), 400);
-    assert_eq!(a, b, "truncated-request responses diverged");
-    reactor.stop();
-    blocking.stop();
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.write_all(truncated).expect("write");
+    conn.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = Vec::new();
+    conn.read_to_end(&mut got).expect("read");
+    assert_eq!(status_of(&got), 400);
+    assert_eq!(
+        got,
+        oracle(&ServerState::default(), truncated),
+        "truncated-request response diverged"
+    );
+    server.stop();
 }
 
 #[test]
 fn one_byte_writes_reassemble_to_the_same_response() {
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+    let server = spawn_server();
     let entry = adds_serve::corpus::find("list_scale_adds").unwrap();
     let req = post("/v1/analyze", entry.source);
 
-    // Reference: the whole request in one write, against the oracle.
-    let want = raw_request(blocking.addr(), &req);
-
-    // Torture: the same bytes, one write syscall per byte.
-    let mut conn = TcpStream::connect(reactor.addr()).expect("connect");
+    // Torture: the request one write syscall per byte.
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
     conn.set_nodelay(true).unwrap();
     for chunk in req.chunks(1) {
         conn.write_all(chunk).expect("write byte");
@@ -186,15 +189,17 @@ fn one_byte_writes_reassemble_to_the_same_response() {
     let got = read_raw_response(&mut conn);
 
     assert_eq!(status_of(&got), 200);
-    assert_eq!(got, want, "dribbled request produced different bytes");
-    reactor.stop();
-    blocking.stop();
+    assert_eq!(
+        got,
+        oracle(&ServerState::default(), &req),
+        "dribbled request produced different bytes"
+    );
+    server.stop();
 }
 
 #[test]
 fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+    let server = spawn_server();
     let sum = adds_serve::corpus::find("list_sum").unwrap();
     let scale = adds_serve::corpus::find("list_scale_adds").unwrap();
     let parts = [
@@ -204,20 +209,18 @@ fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
         post("/v1/check", sum.source), // cache hit on its own prior item
     ];
 
-    // Reference responses from the oracle, same order, fresh connections.
-    let want: Vec<Vec<u8>> = parts
-        .iter()
-        .map(|r| raw_request(blocking.addr(), r))
-        .collect();
+    // Reference responses from the oracle, same order, one state.
+    let oracle_state = ServerState::default();
+    let want: Vec<Vec<u8>> = parts.iter().map(|r| oracle(&oracle_state, r)).collect();
 
-    // One reactor connection, all four requests pipelined back-to-back,
-    // written in 7-byte slices with pauses every 64 slices so the frames
-    // land split across reads in many different places.
+    // One connection, all four requests pipelined back-to-back, written
+    // in 7-byte slices with pauses every 64 slices so the frames land
+    // split across reads in many different places.
     let mut buf = Vec::new();
     for p in &parts {
         buf.extend_from_slice(p);
     }
-    let mut conn = TcpStream::connect(reactor.addr()).expect("connect");
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
     conn.set_nodelay(true).unwrap();
     for (i, chunk) in buf.chunks(7).enumerate() {
         conn.write_all(chunk).expect("write chunk");
@@ -229,11 +232,10 @@ fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
         let got = read_raw_response(&mut conn);
         assert_eq!(
             &got, want,
-            "pipelined response #{i} diverged from the blocking oracle"
+            "pipelined response #{i} diverged from the oracle"
         );
     }
-    reactor.stop();
-    blocking.stop();
+    server.stop();
 }
 
 #[test]
@@ -350,7 +352,7 @@ fn connection_budget_rejects_with_503_and_counts() {
 
 #[test]
 fn stats_v5_net_section_reports_the_reactor() {
-    let server = spawn_engine(Engine::Reactor);
+    let server = spawn_server();
     // One inline-served probe and one pool-dispatched request.
     let h = raw_request(server.addr(), &get("/healthz"));
     assert_eq!(status_of(&h), 200);
