@@ -731,7 +731,7 @@ fn run_soak(conns_target: usize, secs: u64) -> Soak {
     // Sample the reactor's open-connection gauge while the soak runs.
     let mut peak_open = 0u64;
     while Instant::now() < deadline {
-        peak_open = peak_open.max(server.state().net.snapshot().open);
+        peak_open = peak_open.max(server.state().net.open.load(Ordering::Relaxed).max(0) as u64);
         std::thread::sleep(Duration::from_millis(50));
     }
 

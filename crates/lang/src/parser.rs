@@ -5,13 +5,31 @@ use crate::lexer::lex;
 use crate::source::{Diagnostic, Span};
 use crate::token::{Token, TokenKind};
 
+/// Deepest nesting a parsed program may have. At every point of the
+/// parse, the levels open around it (blocks, parens, call arguments,
+/// index brackets) plus the height of the tree below it (operator, field
+/// and call nodes) stay within this cap. So the returned tree is at most
+/// this deep, a long left-associative chain counts as much as the same
+/// depth of parens, and the printer's parenthesized output of a program
+/// re-parses within the same cap. Every later pass (type check, printer,
+/// analysis, compile, interpreter) recurses over the tree, so the cap
+/// bounds their stack use too; past it the program gets an ordinary
+/// parse diagnostic.
+pub const MAX_NESTING: usize = 128;
+
 /// Recursive-descent parser over the lexed token stream.
 pub struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Levels open around the current parse position (enclosing blocks,
+    /// parens, call arguments, and index expressions).
+    open: usize,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
+
+/// An expression with its height in [`MAX_NESTING`] levels (0 for a leaf).
+type Measured = (Expr, usize);
 
 /// Parse a complete program.
 pub fn parse_program(src: &str) -> PResult<Program> {
@@ -32,7 +50,39 @@ impl Parser {
         Ok(Parser {
             toks: lex(src)?,
             pos: 0,
+            open: 0,
         })
+    }
+
+    fn too_deep(&self) -> Diagnostic {
+        Diagnostic::new(
+            self.peek_span(),
+            format!("program nests deeper than {MAX_NESTING} levels"),
+        )
+    }
+
+    /// Open one more level, failing before the recursion can outgrow
+    /// [`MAX_NESTING`]. (A failed parse is abandoned, so only the success
+    /// paths pair this with [`Parser::ascend`].)
+    fn descend(&mut self) -> PResult<()> {
+        if self.open >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        Ok(())
+    }
+
+    fn ascend(&mut self) {
+        self.open -= 1;
+    }
+
+    /// The height of a node over children of height `child`, checked
+    /// against the levels already open around it.
+    fn node(&self, child: usize) -> PResult<usize> {
+        if self.open + child >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
     }
 
     fn peek(&self) -> &TokenKind {
@@ -329,12 +379,14 @@ impl Parser {
     // ----------------------------------------------------------- statements
 
     fn block(&mut self) -> PResult<Block> {
+        self.descend()?;
         let start = self.expect(TokenKind::LBrace)?.span;
         let mut stmts = Vec::new();
         while !self.at(&TokenKind::RBrace) {
             stmts.push(self.stmt()?);
         }
         let end = self.expect(TokenKind::RBrace)?.span;
+        self.ascend();
         Ok(Block {
             stmts,
             span: start.merge(end),
@@ -347,7 +399,9 @@ impl Parser {
         if self.at(&TokenKind::LBrace) {
             self.block()
         } else {
+            self.descend()?;
             let s = self.stmt()?;
+            self.ascend();
             let span = s.span();
             Ok(Block {
                 stmts: vec![s],
@@ -463,7 +517,7 @@ impl Parser {
 
         // Call statement: `f(a, b);`
         if self.at(&TokenKind::LParen) {
-            let call = self.call_tail(name, name_span)?;
+            let (call, _) = self.call_tail(name, name_span)?;
             self.expect(TokenKind::Semi)?;
             return Ok(Stmt::Call(call));
         }
@@ -474,7 +528,9 @@ impl Parser {
             self.bump();
             let (field, fspan) = self.ident()?;
             let index = if self.eat(&TokenKind::LBracket) {
+                self.descend()?;
                 let e = self.expr()?;
+                self.ascend();
                 self.expect(TokenKind::RBracket)?;
                 Some(Box::new(e))
             } else {
@@ -501,95 +557,54 @@ impl Parser {
         })
     }
 
-    fn call_tail(&mut self, callee: String, start: Span) -> PResult<Call> {
+    /// A call's argument list; the height is the tallest argument's.
+    fn call_tail(&mut self, callee: String, start: Span) -> PResult<(Call, usize)> {
         self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
+        let mut height = 0;
         if !self.at(&TokenKind::RParen) {
             loop {
-                args.push(self.expr()?);
+                self.descend()?;
+                let (arg, h) = self.binary(0)?;
+                self.ascend();
+                args.push(arg);
+                height = height.max(h);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
             }
         }
         let end = self.expect(TokenKind::RParen)?.span;
-        Ok(Call {
+        let call = Call {
             callee,
             args,
             span: start.merge(end),
-        })
+        };
+        Ok((call, height))
     }
 
     // ---------------------------------------------------------- expressions
 
     pub(crate) fn expr(&mut self) -> PResult<Expr> {
-        self.or_expr()
+        Ok(self.binary(0)?.0)
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.at(&TokenKind::OrOr) {
+    /// Binary operators at precedence `min` and tighter, by precedence
+    /// climbing: `||` < `&&` < comparisons < `+ -` < `* / %`, all
+    /// left-associative except comparisons, which take at most one
+    /// operator (`a < b < c` is an error, not `(a < b) < c`).
+    fn binary(&mut self, min: u8) -> PResult<Measured> {
+        let (mut lhs, mut height) = self.unary_expr()?;
+        let mut last = None;
+        while let Some((op, level)) = binop(self.peek()) {
+            // A tighter operator than the last one folded here is one the
+            // right operand refused: a second comparison.
+            if level < min || last.is_some_and(|l| level > l || (l == CMP && level == CMP)) {
+                break;
+            }
             self.bump();
-            let rhs = self.and_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while self.at(&TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> PResult<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::NotEq => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        let span = lhs.span().merge(rhs.span());
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            span,
-        })
-    }
-
-    fn add_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
+            let (rhs, h) = self.binary(level + 1)?;
+            height = self.node(height.max(h))?;
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Binary {
                 op,
@@ -597,68 +612,52 @@ impl Parser {
                 rhs: Box::new(rhs),
                 span,
             };
+            last = Some(level);
         }
+        Ok((lhs, height))
     }
 
-    fn mul_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.unary_expr()?;
+    /// Prefix operators, collected in a loop so a long run of them needs
+    /// no recursion, then applied innermost-first.
+    fn unary_expr(&mut self) -> PResult<Measured> {
+        let mut ops = Vec::new();
         loop {
             let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
+                TokenKind::Minus => UnOp::Neg,
+                TokenKind::Bang => UnOp::Not,
+                _ => break,
             };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
+            ops.push((op, self.bump().span));
+        }
+        let (mut e, mut height) = self.postfix_expr()?;
+        for (op, start) in ops.into_iter().rev() {
+            height = self.node(height)?;
+            let span = start.merge(e.span());
+            e = Expr::Unary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                operand: Box::new(e),
                 span,
             };
         }
+        Ok((e, height))
     }
 
-    fn unary_expr(&mut self) -> PResult<Expr> {
-        match self.peek() {
-            TokenKind::Minus => {
-                let start = self.bump().span;
-                let operand = self.unary_expr()?;
-                let span = start.merge(operand.span());
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    operand: Box::new(operand),
-                    span,
-                })
-            }
-            TokenKind::Bang => {
-                let start = self.bump().span;
-                let operand = self.unary_expr()?;
-                let span = start.merge(operand.span());
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    operand: Box::new(operand),
-                    span,
-                })
-            }
-            _ => self.postfix_expr(),
-        }
-    }
-
-    fn postfix_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.primary_expr()?;
+    fn postfix_expr(&mut self) -> PResult<Measured> {
+        let (mut e, mut height) = self.primary_expr()?;
         while self.at(&TokenKind::Arrow) {
             self.bump();
             let (field, fspan) = self.ident()?;
             let index = if self.eat(&TokenKind::LBracket) {
-                let idx = self.expr()?;
+                self.descend()?;
+                let (idx, h) = self.binary(0)?;
+                self.ascend();
                 self.expect(TokenKind::RBracket)?;
+                height = height.max(h);
                 Some(Box::new(idx))
             } else {
                 None
             };
+            height = self.node(height)?;
             let span = e.span().merge(fspan);
             e = Expr::Field {
                 base: Box::new(e),
@@ -667,57 +666,73 @@ impl Parser {
                 span,
             };
         }
-        Ok(e)
+        Ok((e, height))
     }
 
-    fn primary_expr(&mut self) -> PResult<Expr> {
+    fn primary_expr(&mut self) -> PResult<Measured> {
         let span = self.peek_span();
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Int(v, span))
-            }
-            TokenKind::Real(v) => {
-                self.bump();
-                Ok(Expr::Real(v, span))
-            }
-            TokenKind::KwTrue => {
-                self.bump();
-                Ok(Expr::Bool(true, span))
-            }
-            TokenKind::KwFalse => {
-                self.bump();
-                Ok(Expr::Bool(false, span))
-            }
-            TokenKind::KwNull => {
-                self.bump();
-                Ok(Expr::Null(span))
-            }
+        let leaf = match self.peek().clone() {
+            TokenKind::Int(v) => Expr::Int(v, span),
+            TokenKind::Real(v) => Expr::Real(v, span),
+            TokenKind::KwTrue => Expr::Bool(true, span),
+            TokenKind::KwFalse => Expr::Bool(false, span),
+            TokenKind::KwNull => Expr::Null(span),
             TokenKind::KwNew => {
                 self.bump();
                 let (ty, tspan) = self.ident()?;
-                Ok(Expr::New(ty, span.merge(tspan)))
+                return Ok((Expr::New(ty, span.merge(tspan)), 0));
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                // A paren is a level for what it encloses but adds no
+                // node: the printer's parens re-parse within the cap.
+                self.descend()?;
+                let inner = self.binary(0)?;
+                self.ascend();
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok(inner);
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.at(&TokenKind::LParen) {
-                    Ok(Expr::Call(self.call_tail(name, span)?))
-                } else {
-                    Ok(Expr::Var(name, span))
+                if !self.at(&TokenKind::LParen) {
+                    return Ok((Expr::Var(name, span), 0));
                 }
+                let (call, h) = self.call_tail(name, span)?;
+                return Ok((Expr::Call(call), self.node(h)?));
             }
-            other => Err(Diagnostic::new(
-                span,
-                format!("expected an expression, found {}", other.describe()),
-            )),
-        }
+            other => {
+                return Err(Diagnostic::new(
+                    span,
+                    format!("expected an expression, found {}", other.describe()),
+                ))
+            }
+        };
+        self.bump();
+        Ok((leaf, 0))
     }
+}
+
+/// Precedence level of the comparison operators.
+const CMP: u8 = 2;
+
+/// The binary operator `tok` spells, with its precedence level.
+fn binop(tok: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::EqEq => (BinOp::Eq, CMP),
+        TokenKind::NotEq => (BinOp::Ne, CMP),
+        TokenKind::Lt => (BinOp::Lt, CMP),
+        TokenKind::Le => (BinOp::Le, CMP),
+        TokenKind::Gt => (BinOp::Gt, CMP),
+        TokenKind::Ge => (BinOp::Ge, CMP),
+        TokenKind::Plus => (BinOp::Add, 3),
+        TokenKind::Minus => (BinOp::Sub, 3),
+        TokenKind::Star => (BinOp::Mul, 4),
+        TokenKind::Slash => (BinOp::Div, 4),
+        TokenKind::Percent => (BinOp::Rem, 4),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -950,5 +965,71 @@ mod tests {
             Stmt::VarDecl { init, .. } => assert!(matches!(init, Some(Expr::New(_, _)))),
             _ => panic!(),
         }
+    }
+
+    /// A procedure whose deepest path has `levels` counted levels: its
+    /// body block plus `levels - 1` of the given shape.
+    fn nested(levels: usize, shape: &str) -> String {
+        let n = levels - 1;
+        let body = match shape {
+            "parens" => format!("y = {}x{};", "(".repeat(n), ")".repeat(n)),
+            "chain" => format!("y = x{};", " + x".repeat(n)),
+            "negs" => format!("y = {}x;", "-".repeat(n)),
+            "fields" => format!("y = p{};", "->next".repeat(n)),
+            "calls" => format!("y = {}x{};", "f(".repeat(n), ")".repeat(n)),
+            "whiles" => format!("{}y = x;{}", "while x { ".repeat(n), " }".repeat(n)),
+            _ => unreachable!(),
+        };
+        format!("procedure p() {{ {body} }}")
+    }
+
+    #[test]
+    fn comparisons_do_not_chain() {
+        assert!(parse_expr("a < b < c").is_err());
+        assert!(parse_expr("x && a == b == c").is_err());
+        let e = parse_expr("a < b && c + d * e >= f || g").unwrap();
+        assert_eq!(
+            crate::pretty::expr(&e),
+            "((a < b) && ((c + (d * e)) >= f)) || g"
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_every_shape() {
+        for shape in ["parens", "chain", "negs", "fields", "calls", "whiles"] {
+            let at_cap = nested(MAX_NESTING, shape);
+            assert!(parse_program(&at_cap).is_ok(), "{shape} at the cap");
+            let err = parse_program(&nested(MAX_NESTING + 1, shape)).unwrap_err();
+            assert!(
+                err.message.contains("nests deeper"),
+                "{shape}: {}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn printed_programs_at_the_cap_parse_again() {
+        // The printer parenthesizes nested operators; those parens must
+        // not push a program that parsed back over the cap.
+        for shape in ["parens", "chain", "negs", "fields", "calls", "whiles"] {
+            let tree = parse_program(&nested(MAX_NESTING, shape)).unwrap();
+            let printed = crate::pretty::program(&tree);
+            let again = parse_program(&printed);
+            assert!(again.is_ok(), "{shape}: {:?}", again.err());
+        }
+    }
+
+    #[test]
+    fn shallow_levels_add_up_along_one_path() {
+        // Parens around a chain: both kinds count toward the same cap.
+        let half = MAX_NESTING / 2;
+        let inner = format!("x{}", " + x".repeat(half));
+        let src = |parens: usize| {
+            let e = format!("{}{inner}{}", "(".repeat(parens), ")".repeat(parens));
+            format!("procedure p() {{ y = {e}; }}")
+        };
+        assert!(parse_program(&src(MAX_NESTING - half - 1)).is_ok());
+        assert!(parse_program(&src(MAX_NESTING - half)).is_err());
     }
 }

@@ -81,11 +81,11 @@ impl Simulation {
         let world = World(self as *mut Simulation);
         let world = &world;
 
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let barrier = &barrier;
                 let tree_slot = &tree_slot;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..steps {
                         if t == 0 {
                             // Exclusive phase: rebuild the tree.
@@ -152,8 +152,7 @@ impl Simulation {
                     }
                 });
             }
-        })
-        .expect("worker pool");
+        });
     }
 
     /// BHL1 under static strip scheduling: each thread walks the leaf list
@@ -163,9 +162,9 @@ impl Simulation {
         let particles = &self.particles;
         let head = particles.head();
         let writers = disjoint_strides(&mut self.forces, threads);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for (t, mut writer) in writers.into_iter().enumerate() {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // FOR2: skip t nodes ahead (speculative past the end).
                     let mut p = head;
                     let mut pos = 0usize;
@@ -192,8 +191,7 @@ impl Simulation {
                     }
                 });
             }
-        })
-        .expect("force threads");
+        });
     }
 
     /// BHL1 under dynamic self-scheduling: flatten the chain, then pop
@@ -205,12 +203,12 @@ impl Simulation {
         let order: Vec<ParticleId> = particles.iter_chain().collect();
         let counter = AtomicUsize::new(0);
         let mut partials: Vec<Vec<(usize, Vec3)>> = Vec::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for _ in 0..threads {
                 let order = &order;
                 let counter = &counter;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         let k = counter.fetch_add(1, Ordering::Relaxed);
@@ -233,8 +231,7 @@ impl Simulation {
             for h in handles {
                 partials.push(h.join().expect("force worker"));
             }
-        })
-        .expect("force threads");
+        });
         for part in partials {
             for (i, f) in part {
                 self.forces[i] = f;
@@ -247,9 +244,9 @@ impl Simulation {
         let dt = self.params.dt;
         let forces = &self.forces;
         let writers = disjoint_strides(self.particles.particles_mut(), threads);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for mut w in writers {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let idxs: Vec<usize> = w.indices().collect();
                     for i in idxs {
                         let f = forces[i];
@@ -259,8 +256,7 @@ impl Simulation {
                     }
                 });
             }
-        })
-        .expect("integrate threads");
+        });
     }
 }
 
@@ -289,20 +285,19 @@ pub fn force_parallel_subtrees(
         return accumulate_force(tree, plist, p, tree.root, theta, eps);
     }
     let mut total = ZERO;
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let mut handles = Vec::new();
         for q in 0..8 {
             let child = n.children[q];
             if child.is_none() {
                 continue;
             }
-            handles.push(s.spawn(move |_| accumulate_force(tree, plist, p, child, theta, eps)));
+            handles.push(s.spawn(move || accumulate_force(tree, plist, p, child, theta, eps)));
         }
         for h in handles {
             total += h.join().expect("subtree worker");
         }
-    })
-    .expect("subtree threads");
+    });
     total
 }
 

@@ -125,17 +125,16 @@ mod tests {
     fn parallel_writes_are_race_free() {
         let mut data = vec![0usize; 1000];
         let writers = disjoint_strides(&mut data, 8);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for mut w in writers {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let idxs: Vec<usize> = w.indices().collect();
                     for i in idxs {
                         w.set(i, i + 1);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i + 1);
         }

@@ -220,17 +220,16 @@ impl WaterSim {
         let chunk = n.div_ceil(threads).max(1);
         // Immutable self-borrow for readers; disjoint chunks for writers.
         let me: &WaterSim = self;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for (t, out) in forces.chunks_mut(chunk).enumerate() {
                 let lo = t * chunk;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (k, slot) in out.iter_mut().enumerate() {
                         *slot = me.force_on(lo + k);
                     }
                 });
             }
-        })
-        .expect("force workers");
+        });
 
         for (m, f) in self.mols.iter_mut().zip(forces) {
             m.force = f;

@@ -1,6 +1,7 @@
-//! Reactor counters, exported by the embedding server (stats doc + metrics).
+//! Reactor counters, exported by the embedding server (stats doc + metrics),
+//! which reads the atomics directly.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64};
 
 /// Atomic counters describing the life of the event loop. All relaxed: these
 /// are monitoring signals, not synchronization.
@@ -23,32 +24,4 @@ pub struct NetStats {
     pub dispatched: AtomicU64,
     /// Frames served inline on the reactor thread (protocol fast path).
     pub inline_served: AtomicU64,
-}
-
-impl NetStats {
-    pub fn snapshot(&self) -> NetSnapshot {
-        NetSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            open: self.open.load(Ordering::Relaxed).max(0) as u64,
-            keepalive: self.keepalive.load(Ordering::Relaxed).max(0) as u64,
-            poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
-            timer_expirations: self.timer_expirations.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-            inline_served: self.inline_served.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`NetStats`], convenient for serialization.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetSnapshot {
-    pub accepted: u64,
-    pub rejected: u64,
-    pub open: u64,
-    pub keepalive: u64,
-    pub poll_wakeups: u64,
-    pub timer_expirations: u64,
-    pub dispatched: u64,
-    pub inline_served: u64,
 }

@@ -25,9 +25,10 @@
 //! Scheduling is per-worker deques with steal-from-the-back: worker *w*
 //! owns the indices `w, w+jobs, w+2·jobs, …` and pops from the front;
 //! an idle worker steals from the *back* of a neighbor's deque (classic
-//! work-stealing shape — owner and thief touch opposite ends). Workers
-//! are scoped threads from the `rayon` shim's `scope`, so a panicking
-//! item propagates to the caller instead of deadlocking the fan-out.
+//! work-stealing shape — owner and thief touch opposite ends). Worker 0
+//! runs on the calling thread and the rest are `std::thread::scope`
+//! threads, so a panicking item propagates to the caller (after every
+//! worker joins) instead of deadlocking the fan-out.
 //!
 //! Nested fan-outs run inline: a worker that reaches another
 //! `map_ordered` (a batch item whose report fans out per-function
@@ -109,9 +110,9 @@ impl ParCounters {
     ///
     /// The only observable difference from `items.iter().map(f).collect()`
     /// is wall-clock: result order is canonical, and a panicking item
-    /// propagates (workers join first — see the rayon shim's scope
-    /// contract). Runs inline when the budget or the item count makes
-    /// parallelism pointless, and when nested inside another fan-out.
+    /// propagates once every worker has joined. Runs inline when the
+    /// budget or the item count makes parallelism pointless, and when
+    /// nested inside another fan-out.
     pub fn map_ordered<T, R, F>(&self, jobs: usize, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -141,49 +142,51 @@ impl ParCounters {
         // input order, never completion order.
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-        let deques = &deques;
-        let slots = &slots;
-        let f = &f;
-        rayon::scope(|scope| {
-            for w in 0..jobs {
-                scope.spawn(move |_| {
-                    let _guard = WorkerGuard::enter();
-                    let mut span = trace::span("par.worker", "par");
-                    let mut processed = 0u64;
-                    let mut stolen = 0u64;
-                    loop {
-                        let popped = deques[w].lock().expect("par deque").pop_front();
-                        let idx = match popped {
-                            Some(i) => i,
-                            None => {
-                                // Own deque drained: steal from the back
-                                // of the nearest non-empty neighbor.
-                                let steal = (1..jobs).find_map(|d| {
-                                    deques[(w + d) % jobs].lock().expect("par deque").pop_back()
-                                });
-                                match steal {
-                                    Some(i) => {
-                                        stolen += 1;
-                                        i
-                                    }
-                                    None => break,
-                                }
+        let (deques, slots, f) = (&deques, &slots, &f);
+        let work = |w: usize| {
+            let _guard = WorkerGuard::enter();
+            let mut span = trace::span("par.worker", "par");
+            let mut processed = 0u64;
+            let mut stolen = 0u64;
+            loop {
+                let popped = deques[w].lock().expect("par deque").pop_front();
+                let idx = match popped {
+                    Some(i) => i,
+                    None => {
+                        // Own deque drained: steal from the back of the
+                        // nearest non-empty neighbor.
+                        let steal = (1..jobs).find_map(|d| {
+                            deques[(w + d) % jobs].lock().expect("par deque").pop_back()
+                        });
+                        match steal {
+                            Some(i) => {
+                                stolen += 1;
+                                i
                             }
-                        };
-                        let result = f(&items[idx]);
-                        *slots[idx].lock().expect("par slot") = Some(result);
-                        processed += 1;
+                            None => break,
+                        }
                     }
-                    self.steals.add(stolen);
-                    self.utilization
-                        .record(processed * jobs as u64 * 100 / n as u64);
-                    if let Some(s) = span.as_mut() {
-                        s.arg("worker", w.to_string());
-                        s.arg("processed", processed.to_string());
-                        s.arg("stolen", stolen.to_string());
-                    }
-                });
+                };
+                let result = f(&items[idx]);
+                *slots[idx].lock().expect("par slot") = Some(result);
+                processed += 1;
             }
+            self.steals.add(stolen);
+            self.utilization
+                .record(processed * jobs as u64 * 100 / n as u64);
+            if let Some(s) = span.as_mut() {
+                s.arg("worker", w.to_string());
+                s.arg("processed", processed.to_string());
+                s.arg("stolen", stolen.to_string());
+            }
+        };
+        // Workers 1.. get scoped threads; worker 0 runs on the caller.
+        // The scope joins every thread before it re-raises a panic.
+        std::thread::scope(|scope| {
+            for w in 1..jobs {
+                scope.spawn(move || work(w));
+            }
+            work(0);
         });
 
         let mut join_span = trace::span("par.join", "par");

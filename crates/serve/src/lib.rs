@@ -15,6 +15,8 @@
 //! * [`http`] — a minimal HTTP/1.1 request reader and response
 //!   serializer, with keep-alive.
 //! * [`logging`] — the structured access-log line (`serve --log`).
+//! * [`stats`] — the counter table behind `/v1/stats`, `/v1/metrics` and
+//!   `adds-cli store stats`: one row per counter, two renderers.
 //! * [`server`] — the `adds-cli serve` engine: the `adds-net` reactor
 //!   over a fixed worker pool, routing
 //!   `POST /v1/{analyze,parallelize,run,check,parse,batch}`,
@@ -45,3 +47,4 @@ pub mod logging;
 pub mod pipeline;
 pub mod server;
 pub mod service;
+pub mod stats;

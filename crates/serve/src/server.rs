@@ -76,13 +76,13 @@ use crate::pipeline::Stage;
 use crate::runner::RunOptions;
 use crate::service::{RunRequest, Service, SessionConfig, StageRequest};
 use crate::sha::Digest;
+use crate::stats;
 use adds_net::reactor::{Framed, Protocol, Reactor, ReactorOptions, Reply, StopHandle};
 use adds_net::stats::NetStats;
-use adds_obs::metrics::{prom_counter, prom_gauge, prom_histogram, Counter, Histogram};
+use adds_obs::metrics::{Counter, Histogram};
 use adds_obs::trace;
-use adds_query::QueryKind;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -314,8 +314,8 @@ impl ServerState {
         self.metrics.requests[route as usize].inc();
         match route {
             Route::Healthz => Response::text(200, "ok\n"),
-            Route::Stats => Response::json(200, self.stats_doc().pretty()),
-            Route::Metrics => Response::text(200, self.metrics_text()),
+            Route::Stats => Response::json(200, stats::render_json(&stats::rows(self)).pretty()),
+            Route::Metrics => Response::text(200, stats::render_prom(&stats::rows(self))),
             Route::Trace => {
                 if trace::enabled() {
                     Response::json(200, trace::render_current())
@@ -346,378 +346,6 @@ impl ServerState {
                 }
             }
         }
-    }
-
-    /// The `/v1/stats` document (`adds.serve-stats/v5`): request-level
-    /// cache counters, per-query-layer compute counters, per-endpoint
-    /// request counts, latency quantiles (per route and per query layer,
-    /// derived from the lock-free log₂ histograms), parallel-executor
-    /// counters, connection gauges, event-loop counters, and the
-    /// persistent store's counters. No timestamps — the document is a
-    /// pure function of the counters, so tests can golden it. (`/v2`
-    /// added `queries.dropped`, `latency`, and `connections` to the `/v1`
-    /// shape; `/v3` added `parallel`; `/v4` added `cache.disk_hits` and
-    /// the `store` section; `/v5` added the `net` section for the
-    /// event-driven engine.)
-    pub fn stats_doc(&self) -> Json {
-        let cs = self.service.stats();
-        let net = self.net.snapshot();
-        let u = |a: &AtomicU64| Json::UInt(a.load(Ordering::Relaxed));
-        Json::obj([
-            ("schema", Json::str("adds.serve-stats/v5")),
-            (
-                "cache",
-                Json::obj([
-                    ("hits", u(&cs.hits)),
-                    ("misses", u(&cs.misses)),
-                    ("coalesced", u(&cs.coalesced)),
-                    ("disk_hits", u(&cs.disk_hits)),
-                    ("in_flight", u(&cs.in_flight)),
-                    ("evicted", u(&cs.evicted)),
-                    ("entries", Json::UInt(self.service.entries() as u64)),
-                ]),
-            ),
-            (
-                "queries",
-                Json::Obj(
-                    // Per-layer compute counts, then the artifact caches'
-                    // own entry/hit/miss/eviction counters — with
-                    // `--cache-cap`, the memory-heavy artifacts (typed
-                    // programs, fixpoints, bytecode) evict here, not in
-                    // the report-level `cache` section above.
-                    self.service
-                        .query_computes()
-                        .into_iter()
-                        .map(|(name, n)| (name.to_string(), Json::UInt(n)))
-                        .chain({
-                            let qs = self.service.query_stats();
-                            [
-                                (
-                                    "entries".to_string(),
-                                    Json::UInt(self.service.db().artifact_entries() as u64),
-                                ),
-                                ("hits".to_string(), u(&qs.hits)),
-                                ("misses".to_string(), u(&qs.misses)),
-                                ("evicted".to_string(), u(&qs.evicted)),
-                                (
-                                    "dropped".to_string(),
-                                    Json::UInt(self.service.db().dropped_digest_entries()),
-                                ),
-                            ]
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "requests",
-                Json::Obj(
-                    Route::ALL
-                        .iter()
-                        .map(|&r| {
-                            let n = self.metrics.requests[r as usize].get();
-                            (r.name().to_string(), Json::UInt(n))
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "latency",
-                Json::obj([
-                    (
-                        "routes",
-                        Json::Obj(
-                            Route::ALL
-                                .iter()
-                                .map(|&r| {
-                                    (
-                                        r.name().to_string(),
-                                        latency_summary(&self.metrics.route_latency[r as usize]),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "layers",
-                        Json::Obj(
-                            QueryKind::ALL
-                                .iter()
-                                .map(|&k| {
-                                    (
-                                        k.name().to_string(),
-                                        latency_summary(self.service.db().layer_duration(k)),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("parallel", {
-                let par = self.service.par_stats();
-                let qs = self.service.query_stats();
-                let ut = par.utilization();
-                Json::obj([
-                    // The *configured* budget (0 = one per core), not
-                    // the resolved count: the document must stay a
-                    // pure function of the counters, host-independent,
-                    // so the golden test can pin it.
-                    ("jobs", Json::UInt(self.service.jobs() as u64)),
-                    ("fanouts", Json::UInt(par.fanouts())),
-                    ("inline", Json::UInt(par.inline_runs())),
-                    ("tasks", Json::UInt(par.tasks())),
-                    ("steals", Json::UInt(par.steals())),
-                    // Single-flight coalescing across both cache
-                    // banks: concurrent duplicate demands that shared
-                    // one compute instead of racing.
-                    (
-                        "coalesced_flights",
-                        Json::UInt(
-                            qs.coalesced.load(Ordering::Relaxed)
-                                + cs.coalesced.load(Ordering::Relaxed),
-                        ),
-                    ),
-                    (
-                        "utilization_pct",
-                        Json::obj([
-                            ("count", Json::UInt(ut.count())),
-                            ("p50", Json::UInt(ut.quantile(0.5))),
-                            ("p90", Json::UInt(ut.quantile(0.9))),
-                            ("p99", Json::UInt(ut.quantile(0.99))),
-                        ]),
-                    ),
-                ])
-            }),
-            (
-                "connections",
-                Json::obj([
-                    ("open", Json::Int(net.open as i64)),
-                    ("keepalive", Json::Int(net.keepalive as i64)),
-                ]),
-            ),
-            (
-                "net",
-                Json::obj([
-                    ("engine", Json::str("reactor")),
-                    ("open", Json::UInt(net.open)),
-                    ("accepted", Json::UInt(net.accepted)),
-                    ("rejected", Json::UInt(net.rejected)),
-                    ("dispatched", Json::UInt(net.dispatched)),
-                    ("inline", Json::UInt(net.inline_served)),
-                    ("poll_wakeups", Json::UInt(net.poll_wakeups)),
-                    ("timer_expirations", Json::UInt(net.timer_expirations)),
-                ]),
-            ),
-            ("store", self.store_doc()),
-        ])
-    }
-
-    /// The `store` section of `/v1/stats`: the persistent tier's counter
-    /// snapshot, or `{"enabled": false}` when the server runs without
-    /// `--store` — present either way so the document shape is stable.
-    fn store_doc(&self) -> Json {
-        let Some(store) = self.service.db().store() else {
-            return Json::obj([("enabled", Json::Bool(false))]);
-        };
-        let s = store.stats();
-        Json::obj([
-            ("enabled", Json::Bool(true)),
-            ("entries", Json::UInt(s.entries)),
-            ("pending", Json::UInt(s.pending)),
-            ("segments", Json::UInt(s.segments)),
-            ("live_bytes", Json::UInt(s.live_bytes)),
-            ("gets", Json::UInt(s.gets)),
-            ("hits", Json::UInt(s.hits)),
-            ("misses", Json::UInt(s.misses)),
-            ("puts", Json::UInt(s.puts)),
-            ("puts_ignored", Json::UInt(s.puts_ignored)),
-            ("commits", Json::UInt(s.commits)),
-            ("commit_failures", Json::UInt(s.commit_failures)),
-            ("committed_records", Json::UInt(s.committed_records)),
-            ("committed_bytes", Json::UInt(s.committed_bytes)),
-            ("recovered_records", Json::UInt(s.recovered_records)),
-            ("truncated_bytes", Json::UInt(s.truncated_bytes)),
-            ("quarantined_records", Json::UInt(s.quarantined_records)),
-            ("rotations", Json::UInt(s.rotations)),
-            ("compactions", Json::UInt(s.compactions)),
-        ])
-    }
-
-    /// The `GET /v1/metrics` body: Prometheus text exposition, headed by
-    /// a `# adds.metrics/v1` schema comment. Counters mirror `/v1/stats`;
-    /// the histograms add full per-route and per-query-layer latency
-    /// distributions (log₂ buckets, µs).
-    pub fn metrics_text(&self) -> String {
-        let cs = self.service.stats();
-        let qs = self.service.query_stats();
-        let a = |x: &AtomicU64| x.load(Ordering::Relaxed);
-        let mut out = String::from("# adds.metrics/v1\n");
-
-        out.push_str("# TYPE adds_requests_total counter\n");
-        for &route in Route::ALL {
-            let label = format!("route=\"{}\"", route.name());
-            let n = self.metrics.requests[route as usize].get();
-            prom_counter(&mut out, "adds_requests_total", &label, n);
-        }
-        prom_counter(
-            &mut out,
-            "adds_request_body_bytes_total",
-            "",
-            self.metrics.bytes_in.get(),
-        );
-
-        out.push_str("# TYPE adds_cache_hits_total counter\n");
-        prom_counter(&mut out, "adds_cache_hits_total", "", a(&cs.hits));
-        prom_counter(&mut out, "adds_cache_misses_total", "", a(&cs.misses));
-        prom_counter(&mut out, "adds_cache_coalesced_total", "", a(&cs.coalesced));
-        prom_counter(&mut out, "adds_cache_disk_hits_total", "", a(&cs.disk_hits));
-        prom_counter(&mut out, "adds_cache_evicted_total", "", a(&cs.evicted));
-        prom_gauge(
-            &mut out,
-            "adds_cache_entries",
-            "",
-            self.service.entries() as i64,
-        );
-
-        out.push_str("# TYPE adds_query_computes_total counter\n");
-        for (name, n) in self.service.query_computes() {
-            let label = format!("layer=\"{name}\"");
-            prom_counter(&mut out, "adds_query_computes_total", &label, n);
-        }
-        prom_counter(&mut out, "adds_query_cache_hits_total", "", a(&qs.hits));
-        prom_counter(&mut out, "adds_query_cache_misses_total", "", a(&qs.misses));
-        prom_counter(
-            &mut out,
-            "adds_query_cache_evicted_total",
-            "",
-            a(&qs.evicted),
-        );
-        prom_counter(
-            &mut out,
-            "adds_query_dropped_digests_total",
-            "",
-            self.service.db().dropped_digest_entries(),
-        );
-        prom_gauge(
-            &mut out,
-            "adds_query_artifact_entries",
-            "",
-            self.service.db().artifact_entries() as i64,
-        );
-
-        let par = self.service.par_stats();
-        out.push_str("# TYPE adds_par_tasks_total counter\n");
-        prom_counter(&mut out, "adds_par_fanouts_total", "", par.fanouts());
-        prom_counter(&mut out, "adds_par_inline_total", "", par.inline_runs());
-        prom_counter(&mut out, "adds_par_tasks_total", "", par.tasks());
-        prom_counter(&mut out, "adds_par_steals_total", "", par.steals());
-        prom_counter(
-            &mut out,
-            "adds_par_coalesced_flights_total",
-            "",
-            a(&qs.coalesced) + a(&cs.coalesced),
-        );
-
-        out.push_str("# TYPE adds_par_worker_utilization_pct histogram\n");
-        prom_histogram(
-            &mut out,
-            "adds_par_worker_utilization_pct",
-            "",
-            par.utilization(),
-        );
-
-        out.push_str("# TYPE adds_request_duration_us histogram\n");
-        for &route in Route::ALL {
-            let label = format!("route=\"{}\"", route.name());
-            prom_histogram(
-                &mut out,
-                "adds_request_duration_us",
-                &label,
-                &self.metrics.route_latency[route as usize],
-            );
-        }
-
-        out.push_str("# TYPE adds_query_duration_us histogram\n");
-        for &kind in QueryKind::ALL {
-            let label = format!("layer=\"{}\"", kind.name());
-            prom_histogram(
-                &mut out,
-                "adds_query_duration_us",
-                &label,
-                self.service.db().layer_duration(kind),
-            );
-        }
-
-        let n = self.net.snapshot();
-        out.push_str("# TYPE adds_connections_open gauge\n");
-        prom_gauge(&mut out, "adds_connections_open", "", n.open as i64);
-        prom_gauge(
-            &mut out,
-            "adds_connections_keepalive",
-            "",
-            n.keepalive as i64,
-        );
-
-        out.push_str("# TYPE adds_net_accepted_total counter\n");
-        prom_counter(&mut out, "adds_net_accepted_total", "", n.accepted);
-        prom_counter(&mut out, "adds_net_rejected_total", "", n.rejected);
-        prom_counter(&mut out, "adds_net_dispatched_total", "", n.dispatched);
-        prom_counter(&mut out, "adds_net_inline_total", "", n.inline_served);
-        prom_counter(&mut out, "adds_net_poll_wakeups_total", "", n.poll_wakeups);
-        prom_counter(
-            &mut out,
-            "adds_net_timer_expirations_total",
-            "",
-            n.timer_expirations,
-        );
-        out.push_str("# TYPE adds_net_open_connections gauge\n");
-        prom_gauge(&mut out, "adds_net_open_connections", "", n.open as i64);
-
-        if let Some(store) = self.service.db().store() {
-            let s = store.stats();
-            out.push_str("# TYPE adds_store_entries gauge\n");
-            prom_gauge(&mut out, "adds_store_entries", "", s.entries as i64);
-            prom_gauge(&mut out, "adds_store_pending", "", s.pending as i64);
-            prom_gauge(&mut out, "adds_store_segments", "", s.segments as i64);
-            prom_gauge(&mut out, "adds_store_live_bytes", "", s.live_bytes as i64);
-            out.push_str("# TYPE adds_store_gets_total counter\n");
-            prom_counter(&mut out, "adds_store_gets_total", "", s.gets);
-            prom_counter(&mut out, "adds_store_hits_total", "", s.hits);
-            prom_counter(&mut out, "adds_store_misses_total", "", s.misses);
-            prom_counter(&mut out, "adds_store_puts_total", "", s.puts);
-            prom_counter(&mut out, "adds_store_commits_total", "", s.commits);
-            prom_counter(
-                &mut out,
-                "adds_store_commit_failures_total",
-                "",
-                s.commit_failures,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_committed_bytes_total",
-                "",
-                s.committed_bytes,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_recovered_records_total",
-                "",
-                s.recovered_records,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_truncated_bytes_total",
-                "",
-                s.truncated_bytes,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_quarantined_records_total",
-                "",
-                s.quarantined_records,
-            );
-        }
-        out
     }
 
     fn stage_request(&self, stage: Stage, req: &Request) -> Response {
@@ -972,18 +600,6 @@ fn corpus_list() -> Response {
         ("programs", Json::Arr(programs)),
     ]);
     Response::json(200, list.pretty())
-}
-
-/// A `{count, p50_us, p90_us, p99_us}` summary of one latency histogram
-/// (quantiles are log₂-bucket upper bounds — within one bucket width of
-/// the true value; 0 when empty).
-fn latency_summary(h: &Histogram) -> Json {
-    Json::obj([
-        ("count", Json::UInt(h.count())),
-        ("p50_us", Json::UInt(h.quantile(0.5))),
-        ("p90_us", Json::UInt(h.quantile(0.9))),
-        ("p99_us", Json::UInt(h.quantile(0.99))),
-    ])
 }
 
 /// One batch item, validated into executable form.

@@ -820,3 +820,162 @@ fn concurrent_distinct_requests_spread_over_workers() {
     assert_eq!(state.service.entries(), names.len());
     server.stop();
 }
+
+#[test]
+fn deep_nesting_gets_a_parse_diagnostic_not_an_abort() {
+    // Each of these overflowed a worker's stack before the parser capped
+    // nesting: deep parens, a long left-associative chain, nested blocks.
+    let shapes = [
+        format!(
+            "procedure p() {{ y = {}x{}; }}",
+            "(".repeat(1500),
+            ")".repeat(1500)
+        ),
+        format!("procedure p() {{ y = x{}; }}", " + x".repeat(5000)),
+        format!(
+            "procedure p() {{ {}y = x;{} }}",
+            "while x { ".repeat(3000),
+            " }".repeat(3000)
+        ),
+    ];
+    let server = spawn_server(1);
+    for src in &shapes {
+        for stage in ["parse", "analyze"] {
+            let target = format!("/v1/{stage}");
+            let (status, _, body) = http(server.addr(), "POST", &target, src.as_bytes());
+            assert_eq!(status, 200, "{stage}");
+            let doc = Json::parse(&String::from_utf8_lossy(&body)).expect("JSON");
+            assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+            assert!(
+                String::from_utf8_lossy(&body).contains("nests deeper"),
+                "{stage}: no nesting diagnostic"
+            );
+        }
+    }
+    let (status, _, body) = http(server.addr(), "GET", "/healthz", b"");
+    assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
+    server.stop();
+}
+
+/// The `name{labels} -> value` samples of a Prometheus text body. Panics
+/// unless every family is typed exactly once, before its first sample.
+fn parse_prometheus(text: &str) -> std::collections::HashMap<String, u64> {
+    let mut kinds = std::collections::HashMap::new();
+    let mut samples = std::collections::HashMap::new();
+    for line in text.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl.split_once(' ').expect("TYPE line");
+            let earlier = kinds.insert(family.to_string(), kind.to_string());
+            assert!(earlier.is_none(), "family {family} typed twice");
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let (series, value) = line.rsplit_once(' ').expect("sample line");
+        let name = series.split('{').next().unwrap();
+        let typed = kinds.contains_key(name)
+            || ["_bucket", "_sum", "_count"].iter().any(|suffix| {
+                name.strip_suffix(suffix)
+                    .and_then(|f| kinds.get(f))
+                    .is_some_and(|k| k == "histogram")
+            });
+        assert!(
+            typed,
+            "sample {series} comes before (or without) its # TYPE"
+        );
+        samples.insert(series.to_string(), value.parse().expect("integer sample"));
+    }
+    samples
+}
+
+#[test]
+fn stats_and_metrics_report_the_same_counters() {
+    use adds_serve::stats::{rows, Value};
+    let dir = std::env::temp_dir().join(format!("adds_stats_parity_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 2,
+        store_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServeOptions::default()
+    };
+    let server = Server::bind(&opts).expect("bind").spawn().expect("spawn");
+    for name in ["list_scale_adds", "orth_row_scale", "barnes_hut"] {
+        let src = adds_serve::corpus::find(name).unwrap().source.as_bytes();
+        for target in ["/v1/analyze", "/v1/parallelize", "/v1/analyze"] {
+            assert_eq!(http(server.addr(), "POST", target, src).0, 200);
+        }
+    }
+    let bh = adds_serve::corpus::find("barnes_hut").unwrap().source;
+    let run = "/v1/run?pes=2&bodies=8&steps=1";
+    assert_eq!(http(server.addr(), "POST", run, bh.as_bytes()).0, 200);
+
+    // Let the write-behind flusher commit and the reactor close every
+    // client connection, so no store or connection counter moves between
+    // the two reads below.
+    let state = server.state();
+    let store = Arc::clone(state.service.db().store().expect("store"));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let open = || state.net.open.load(std::sync::atomic::Ordering::Relaxed);
+    while store.stats().pending > 0 || open() > 0 {
+        assert!(std::time::Instant::now() < deadline, "server never settled");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    // Both documents through the same routing the endpoints use, back to
+    // back: only the metrics request's own count (and the reactor's
+    // timer-driven wakeups) may differ between them.
+    let get = |path: &str| {
+        let raw = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+        let req =
+            adds_serve::http::read_request(&mut BufReader::new(raw.as_bytes())).expect("request");
+        String::from_utf8(state.handle(&req).body).expect("utf-8")
+    };
+    let stats = Json::parse(&get("/v1/stats")).expect("stats JSON");
+    let metrics = parse_prometheus(&get("/v1/metrics"));
+
+    // Every row with both a path and a family is compared; the rest must
+    // be exactly the one-sided rows the `stats` module documents.
+    let (mut stats_only, mut prom_only) = (vec![], vec![]);
+    for row in rows(&state) {
+        let (path, (family, label)) = match (&row.path, row.family) {
+            (Some(path), Some(family)) => (path, family),
+            (Some(path), None) => {
+                stats_only.push(path.clone());
+                continue;
+            }
+            (None, family) => {
+                prom_only.push(family.expect("a row renders somewhere").0);
+                continue;
+            }
+        };
+        let mut at = &stats;
+        for key in path.split('.') {
+            at = at
+                .get(key)
+                .unwrap_or_else(|| panic!("/v1/stats lacks {path}"));
+        }
+        let labels = label.map_or(String::new(), |(k, v)| format!("{{{k}=\"{v}\"}}"));
+        let (series, json) = match row.value {
+            Value::Histogram(..) => (format!("{family}_count{labels}"), at.get("count")),
+            _ => (format!("{family}{labels}"), Some(at)),
+        };
+        let json = json.and_then(Json::as_usize).expect("numeric") as u64;
+        let prom = *metrics
+            .get(&series)
+            .unwrap_or_else(|| panic!("/v1/metrics lacks {series}"));
+        match path.as_str() {
+            "requests.metrics" => assert_eq!(prom, json + 1, "{path}"),
+            "net.poll_wakeups" => assert!(prom >= json, "{path}"),
+            _ => assert_eq!(prom, json, "{path} vs {series}"),
+        }
+    }
+    assert_eq!(stats_only, ["schema", "net.engine", "store.enabled"]);
+    assert_eq!(prom_only, ["adds_request_body_bytes_total"]);
+    // The run and the store really moved the counters being compared.
+    let store_puts = metrics["adds_store_puts_total"];
+    assert!(store_puts > 0 && metrics["adds_requests_total{route=\"run\"}"] == 1);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,8 +1,6 @@
 //! The one-way linked list of §3.1.1 — arena-backed, with its ADDS
 //! declaration attached and run-time shape validation.
 
-use crossbeam::thread as cb;
-
 /// The ADDS declaration this structure realizes (Figure 2).
 pub const ADDS_DECL: &str = "
 type OneWayList [X]
@@ -189,11 +187,11 @@ impl<T: Send + Sync> OneWayList<T> {
         let threads = threads.max(1);
         let head = self.head;
         let mut partials: Vec<Vec<(usize, R)>> = Vec::new();
-        cb::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let f = &f;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut local = Vec::new();
                     // FOR2: skip t links ahead.
                     let mut cur = head;
@@ -216,8 +214,7 @@ impl<T: Send + Sync> OneWayList<T> {
             for h in handles {
                 partials.push(h.join().expect("par_map worker"));
             }
-        })
-        .expect("par_map threads");
+        });
         let n = self.len();
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         for part in partials {

@@ -4,8 +4,6 @@
 //! substructure", yet each row and each column is itself a disjoint
 //! uniquely-forward chain, which is what licenses parallel row operations.
 
-use crossbeam::thread as cb;
-
 /// The ADDS declaration this structure realizes (Figure 3).
 pub const ADDS_DECL: &str = "
 type OrthList [X] [Y]
@@ -231,16 +229,15 @@ impl OrthList {
             }
             v
         };
-        cb::scope(|s| {
+        std::thread::scope(|s| {
             for (start, chunk) in chunks {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (k, slot) in chunk.iter_mut().enumerate() {
                         *slot = self.row_iter(start + k).map(|(c, v)| v * x[c]).sum();
                     }
                 });
             }
-        })
-        .expect("spmv threads");
+        });
         out
     }
 
@@ -264,12 +261,12 @@ impl OrthList {
         // row but rows in parallel using unsafe-free partitioning: gather
         // (id, new_value) pairs per thread then apply.
         let mut updates: Vec<Vec<(NodeId, f64)>> = Vec::new();
-        cb::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let row_nodes = &row_nodes;
                 let nodes = &self.nodes;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut local = Vec::new();
                     let mut r = t;
                     while r < row_nodes.len() {
@@ -284,8 +281,7 @@ impl OrthList {
             for h in handles {
                 updates.push(h.join().expect("scale worker"));
             }
-        })
-        .expect("scale threads");
+        });
         for batch in updates {
             for (id, v) in batch {
                 self.nodes[id as usize].value = v;

@@ -10,8 +10,6 @@
 //! ADDS lets the analysis make (§3.3: "freed from estimating needless
 //! cycles").
 
-use crossbeam::thread as cb;
-
 /// The ADDS declaration this structure realizes.
 pub const ADDS_DECL: &str = "
 type TwoWayList [X]
@@ -175,11 +173,11 @@ impl<T: Send + Sync> TwoWayList<T> {
     pub fn par_map<R: Send>(&self, threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
         let threads = threads.max(1);
         let mut partials: Vec<Vec<(usize, R)>> = Vec::new();
-        cb::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for t in 0..threads {
                 let f = &f;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut local = Vec::new();
                     let mut cur = self.head;
                     let mut pos = 0usize;
@@ -200,8 +198,7 @@ impl<T: Send + Sync> TwoWayList<T> {
             for h in handles {
                 partials.push(h.join().expect("worker"));
             }
-        })
-        .expect("scope");
+        });
         let mut out: Vec<Option<R>> = (0..self.len()).map(|_| None).collect();
         for part in partials {
             for (pos, r) in part {
